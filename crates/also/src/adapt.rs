@@ -16,7 +16,7 @@
 //!   dramatically.
 
 /// The database representations of the paper's Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Repr {
     /// Horizontal sparse: per transaction, the indices of its items (LCM).
     HorizontalSparse,
@@ -61,7 +61,7 @@ pub const DENSE_THRESHOLD: f64 = 0.04;
 // ---------------------------------------------------------------------------
 
 /// The three per-chunk container shapes of [`crate::containers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerKind {
     /// Sorted `u16` array — 2 bytes per element, for sparse chunks.
     Array,

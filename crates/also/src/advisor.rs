@@ -20,11 +20,10 @@ use crate::adapt::{choose_container, choose_repr, ContainerKind, Repr};
 use crate::catalog::{Kernel, Pattern};
 use crate::containers::{CHUNK_BITS, TidSet};
 use crate::lexorder::clustering_cost;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a transactional database, as used by the
 /// advisor's rules. Built by [`InputProfile::measure`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputProfile {
     /// Number of transactions `n`.
     pub n_transactions: usize,
@@ -75,7 +74,7 @@ impl InputProfile {
 
 /// Thresholds for the advisor rules, separated out so benches can sweep
 /// them and tests can pin them.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdvisorConfig {
     /// Transactions above this make lexicographic preprocessing suspect
     /// (the paper's DS4/FP-Growth observation). Expressed as a multiple of
@@ -156,7 +155,7 @@ pub fn advise(profile: &InputProfile, kernel: Kernel, cfg: &AdvisorConfig) -> Ve
 
 /// Occupancy profile of one 2^16-tid chunk of a tid universe: everything
 /// the per-chunk container rule needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkProfile {
     /// Chunk key (tid high 16 bits).
     pub key: u16,
@@ -191,7 +190,7 @@ impl ChunkProfile {
 }
 
 /// Which decision procedure the vertical auto-chooser runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AutoMode {
     /// Per-chunk container choices (the default, container-era path).
     PerChunk,
@@ -201,7 +200,7 @@ pub enum AutoMode {
 }
 
 /// The advisor's plan for a vertical tid universe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VerticalPlan {
     /// One representation for the whole table ([`AutoMode::Global`]).
     Global(Repr),

@@ -223,7 +223,7 @@ impl Eq for BitVec {}
 /// set bit of the result but may be wider than the tight range. That is
 /// exactly the trade the paper makes — recomputing tight ranges would cost
 /// more than it saves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OneRange {
     /// First word that may contain a set bit.
     pub first: u32,

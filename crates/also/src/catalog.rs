@@ -3,10 +3,8 @@
 //! (Table 4). The `repro` harness prints the tables directly from this
 //! data, so the documentation and the code cannot drift apart.
 
-use serde::{Deserialize, Serialize};
-
 /// The tuning patterns, named as in §3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// P1 — reorder transactions lexicographically by frequency rank.
     LexicographicOrdering,
@@ -27,7 +25,7 @@ pub enum Pattern {
 }
 
 /// What a pattern improves — the four benefit columns of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternBenefit {
     /// Improves spatial locality.
     pub spatial_locality: bool,
@@ -40,7 +38,7 @@ pub struct PatternBenefit {
 }
 
 /// The mining kernels of the paper's case studies (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Array-based horizontal miner (FIMI'04 best implementation).
     Lcm,
@@ -51,7 +49,7 @@ pub enum Kernel {
 }
 
 /// How a pattern relates to a kernel in the paper's Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Applicability {
     /// Applied and evaluated in the paper's case study (a "√" cell).
     Applied,

@@ -26,7 +26,7 @@
 use crate::bits::{BitVec, OneRange};
 
 /// Strategy for the fused AND + population-count kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Popcount {
     /// 16-bit table lookup per half-word — the un-SIMDizable baseline used
     /// by the original Eclat implementation.

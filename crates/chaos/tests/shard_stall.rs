@@ -71,10 +71,6 @@ fn check_books(svc: &MineService) {
         + m.get("requests_failed");
     assert_eq!(m.get("requests_submitted"), by_outcome, "every job has one outcome");
     assert_eq!(m.get("cache_probes"), m.get("cache_hits") + m.get("cache_misses"));
-    for name in serve::METRIC_NAMES {
-        let shard_sum: u64 = (0..svc.shard_count()).map(|s| svc.shard_metrics(s).get(name)).sum();
-        assert_eq!(shard_sum, m.get(name), "{name}: shard sum != global");
-    }
 }
 
 #[test]

@@ -198,16 +198,29 @@ fn mine_with<S: PatternSink>(
     query: fpm::PatternQuery,
     sink: &mut S,
 ) -> Result<(), String> {
-    let mut plan = exec::MinePlan::by_label(kernel, minsup)?
+    // The reference miners run outside the executor: serial, without
+    // variants, the query applied to their complete output.
+    let kernel = kernel.to_ascii_lowercase();
+    let reference: Option<fn(&TransactionDb, u64, &mut CollectSink)> = match kernel.as_str() {
+        "apriori" => Some(apriori::mine),
+        "hmine" => Some(fpm::hmine::mine),
+        _ => None,
+    };
+    if let Some(mine) = reference {
+        if threads.is_some() {
+            return Err(format!("--threads is not supported for {kernel}"));
+        }
+        let mut all = CollectSink::default();
+        mine(db, minsup, &mut all);
+        for p in query.apply(all.patterns, db.len() as u64) {
+            sink.emit(&p.items, p.support);
+        }
+        return Ok(());
+    }
+    let mut plan = exec::MinePlan::by_label(&kernel, minsup)?
         .variant(variant)?
         .query(query);
     if let Some(n) = threads {
-        if !plan.config().supports_parallel() {
-            return Err(format!(
-                "--threads is not supported for {}",
-                plan.config().label()
-            ));
-        }
         plan = plan.threads(n);
     }
     plan.execute(db, sink);

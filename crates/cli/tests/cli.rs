@@ -34,10 +34,10 @@ fn mines_a_dat_file() {
 fn kernels_agree_via_cli() {
     let path = write_dat("1 2 3\n1 2\n1 2 3\n2 3\n1 3\n");
     let mut outputs = Vec::new();
-    for kernel in ["lcm", "eclat", "fpgrowth", "apriori"] {
+    for kernel in ["lcm", "eclat", "fpgrowth", "apriori", "hmine"] {
         let mut cmd = bin();
         cmd.args(["--input", path.to_str().unwrap(), "--minsup", "2", "--kernel", kernel]);
-        if kernel != "apriori" {
+        if !matches!(kernel, "apriori" | "hmine") {
             cmd.args(["--variant", "all"]);
         }
         let out = cmd.output().unwrap();

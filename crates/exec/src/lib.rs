@@ -54,10 +54,6 @@ pub enum KernelConfig {
     Eclat(eclat::EclatConfig),
     /// `fpm-fpgrowth` with its [`fpgrowth::FpConfig`] variant flags.
     FpGrowth(fpgrowth::FpConfig),
-    /// The `fpm-apriori` reference miner (serial only, no variants).
-    Apriori,
-    /// The `fpm::hmine` reference miner (serial only, no variants).
-    HMine,
 }
 
 impl KernelConfig {
@@ -70,23 +66,16 @@ impl KernelConfig {
         }
     }
 
-    /// Parses a kernel label (`lcm`, `eclat`, `fpgrowth`, `apriori`,
-    /// `hmine`), yielding its all-patterns configuration.
+    /// Parses a kernel label (`lcm`, `eclat`, `fpgrowth`), yielding its
+    /// all-patterns configuration.
     pub fn by_label(label: &str) -> Result<KernelConfig, String> {
-        if let Some(k) = fpm::Kernel::by_label(label) {
-            return Ok(KernelConfig::from_kernel(k));
-        }
-        match label.to_ascii_lowercase().as_str() {
-            "apriori" => Ok(KernelConfig::Apriori),
-            "hmine" => Ok(KernelConfig::HMine),
-            _ => Err(format!("unknown kernel {label:?}")),
-        }
+        fpm::Kernel::by_label(label)
+            .map(KernelConfig::from_kernel)
+            .ok_or_else(|| format!("unknown kernel {label:?}"))
     }
 
     /// Replaces the variant flags with the kernel's named Figure 8
-    /// variant (`base`, `lex`, …, `all`). The reference miners have no
-    /// variants and accept any name unchanged (they always run their
-    /// one implementation).
+    /// variant (`base`, `lex`, …, `all`).
     pub fn variant(self, name: &str) -> Result<KernelConfig, String> {
         fn pick<C>(
             kernel: &str,
@@ -109,7 +98,6 @@ impl KernelConfig {
                 name,
                 fpgrowth::variants(),
             )?)),
-            KernelConfig::Apriori | KernelConfig::HMine => Ok(self),
         }
     }
 
@@ -119,15 +107,7 @@ impl KernelConfig {
             KernelConfig::Lcm(_) => "lcm",
             KernelConfig::Eclat(_) => "eclat",
             KernelConfig::FpGrowth(_) => "fpgrowth",
-            KernelConfig::Apriori => "apriori",
-            KernelConfig::HMine => "hmine",
         }
-    }
-
-    /// Whether the kernel has a task-parallel spine. The reference
-    /// miners (apriori, hmine) are serial-only.
-    pub fn supports_parallel(&self) -> bool {
-        !matches!(self, KernelConfig::Apriori | KernelConfig::HMine)
     }
 }
 
@@ -197,8 +177,7 @@ impl MinePlan {
         Self::new(KernelConfig::from_kernel(kernel), minsup)
     }
 
-    /// A plan parsed from a kernel label (`lcm`, …, `apriori`,
-    /// `hmine`).
+    /// A plan parsed from a kernel label (`lcm`, `eclat`, `fpgrowth`).
     pub fn by_label(label: &str, minsup: u64) -> Result<MinePlan, String> {
         Ok(Self::new(KernelConfig::by_label(label)?, minsup))
     }
@@ -306,16 +285,6 @@ impl MinePlan {
             KernelConfig::FpGrowth(cfg) => {
                 drive::<fpgrowth::FpSpine, _>(db, cfg, self.minsup, self.mode, control, &mut tally)
             }
-            KernelConfig::Apriori => {
-                let mut controlled = ControlledSink::new(control, &mut tally);
-                apriori::mine(db, self.minsup, &mut controlled);
-                controlled.suppressed == 0 && !control.should_stop()
-            }
-            KernelConfig::HMine => {
-                let mut controlled = ControlledSink::new(control, &mut tally);
-                fpm::hmine::mine(db, self.minsup, &mut controlled);
-                controlled.suppressed == 0 && !control.should_stop()
-            }
         };
         ExecSummary {
             complete,
@@ -385,16 +354,6 @@ impl MinePlan {
             }
             KernelConfig::FpGrowth(cfg) => {
                 collect::<fpgrowth::FpSpine>(db, cfg, self.minsup, self.mode, control, fast_top_k)
-            }
-            KernelConfig::Apriori => {
-                let mut sink = CollectSink::default();
-                apriori::mine(db, self.minsup, &mut sink);
-                (sink.patterns, !control.should_stop())
-            }
-            KernelConfig::HMine => {
-                let mut sink = CollectSink::default();
-                fpm::hmine::mine(db, self.minsup, &mut sink);
-                (sink.patterns, !control.should_stop())
             }
         }
     }
@@ -692,30 +651,6 @@ mod tests {
         assert!(err.contains("eclat has no variant"), "{err}");
         let err = MinePlan::by_label("nope", 1).unwrap_err();
         assert!(err.contains("unknown kernel"), "{err}");
-        // Reference miners: no variants, serial-only.
-        let plan = MinePlan::by_label("apriori", 1).unwrap();
-        assert!(!plan.config().supports_parallel());
-        assert!(MinePlan::by_label("hmine", 1).unwrap().variant("anything").is_ok());
-    }
-
-    #[test]
-    fn reference_miners_mine_and_respect_budget() {
-        let db = toy();
-        let mut expect = CollectSink::default();
-        apriori::mine(&db, 2, &mut expect);
-        let mut got = CollectSink::default();
-        let summary = MinePlan::by_label("apriori", 2).unwrap().execute(&db, &mut got);
-        assert!(summary.complete);
-        assert_eq!(
-            canonicalize(got.patterns.clone()),
-            canonicalize(expect.patterns)
-        );
-
-        let mut cut: CollectSink = CollectSink::default();
-        let summary = MinePlan::by_label("hmine", 2).unwrap().max_patterns(3).execute(&db, &mut cut);
-        assert_eq!(cut.patterns.len(), 3);
-        assert!(!summary.complete);
-        assert_eq!(summary.stop_cause, Some(StopCause::BudgetExhausted));
     }
 
     #[test]
@@ -871,27 +806,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_miners_answer_queries_too() {
-        use fpm::types::MineKind;
-        use fpm::{naive, PatternQuery};
-        let db = toy();
-        let want = PatternQuery::class(MineKind::Maximal).apply(naive::mine(&db, 2), db.len() as u64);
-        for label in ["apriori", "hmine"] {
-            let mut sink = CollectSink::default();
-            let summary = MinePlan::by_label(label, 2)
-                .unwrap()
-                .query(PatternQuery::class(MineKind::Maximal))
-                .execute(&db, &mut sink);
-            assert!(summary.complete, "{label}");
-            assert_eq!(canonicalize(sink.patterns), canonicalize(want.clone()), "{label}");
-        }
-    }
-
-    #[test]
     fn canonical_sets_agree_across_kernels() {
         let db = toy();
         let mut reference: Option<Vec<ItemsetCount>> = None;
-        for label in ["lcm", "eclat", "fpgrowth", "apriori", "hmine"] {
+        for label in ["lcm", "eclat", "fpgrowth"] {
             let mut sink = CollectSink::default();
             MinePlan::by_label(label, 2).unwrap().execute(&db, &mut sink);
             let got = canonicalize(sink.patterns);

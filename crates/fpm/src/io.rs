@@ -82,20 +82,18 @@ const BIN_MAGIC: &[u8; 8] = b"FPMDB\x00\x00\x01";
 /// Writes a database in a compact little-endian binary format (used by
 /// the dataset cache: parsing multi-hundred-megabyte `.dat` text on
 /// every bench run would dominate the harness).
-pub fn write_bin<W: Write>(writer: W, db: &TransactionDb) -> io::Result<()> {
-    use bytes::BufMut;
-    let mut w = BufWriter::new(writer);
-    w.write_all(BIN_MAGIC)?;
-    let mut buf = bytes::BytesMut::with_capacity(db.nnz() as usize * 4 + db.len() * 4 + 8);
-    buf.put_u64_le(db.len() as u64);
+pub fn write_bin<W: Write>(mut writer: W, db: &TransactionDb) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(BIN_MAGIC.len() + 8 + db.len() * 4 + db.nnz() as usize * 4);
+    buf.extend_from_slice(BIN_MAGIC);
+    buf.extend_from_slice(&(db.len() as u64).to_le_bytes());
     for t in db.transactions() {
-        buf.put_u32_le(t.len() as u32);
+        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
         for &i in t {
-            buf.put_u32_le(i);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
     }
-    w.write_all(&buf)?;
-    w.flush()
+    writer.write_all(&buf)?;
+    writer.flush()
 }
 
 /// Reads a database written by [`write_bin`].
@@ -221,6 +219,21 @@ mod tests {
         let mut buf = Vec::new();
         write_bin(&mut buf, &db).unwrap();
         assert_eq!(read_bin(buf.as_slice()).unwrap(), db);
+
+        // The exact on-disk layout: cached `.fpmdb` files written by
+        // earlier builds must keep reading back.
+        let two_rows = TransactionDb::from_transactions(vec![vec![3, 258], vec![70_000]]);
+        let mut buf = Vec::new();
+        write_bin(&mut buf, &two_rows).unwrap();
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            b'F', b'P', b'M', b'D', b'B', 0, 0, 1, // magic + version
+            2, 0, 0, 0, 0, 0, 0, 0,                // u64 row count
+            2, 0, 0, 0, 3, 0, 0, 0, 2, 1, 0, 0,    // len 2: 3, 258
+            1, 0, 0, 0, 0x70, 0x11, 1, 0,          // len 1: 70000
+        ];
+        assert_eq!(buf, want);
+        assert_eq!(read_bin(want).unwrap(), two_rows);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::db::TransactionDb;
 
 /// Shape summary of a transaction database.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeStats {
     /// Number of transactions.
     pub n_transactions: usize,

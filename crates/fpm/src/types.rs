@@ -1,7 +1,5 @@
 //! Core identifier and result types shared by every miner.
 
-use serde::{Deserialize, Serialize};
-
 /// An item identifier. In *raw* databases this is the external label; in
 /// *ranked* databases (after [`crate::remap()`]) it is the frequency rank,
 /// with `0` the most frequent item — which makes "decreasing frequency
@@ -12,7 +10,7 @@ pub type Item = u32;
 pub type Tid = u32;
 
 /// One mined pattern: the itemset (sorted ascending) and its support.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ItemsetCount {
     /// The items, sorted ascending.
     pub items: Vec<Item>,
@@ -25,7 +23,7 @@ pub struct ItemsetCount {
 /// `All` is the paper's setting; `Closed` and `Maximal` are the LCM
 /// extensions (LCM is, after all, the *closed* itemset miner) implemented
 /// as the workspace's future-work deliverable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MineKind {
     /// Every frequent itemset.
     All,

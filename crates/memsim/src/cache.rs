@@ -3,10 +3,8 @@
 //! One structure serves both roles: a TLB is a cache whose "line" is a
 //! 4 KiB page and whose payload is irrelevant — only hit/miss matters.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub capacity: usize,
@@ -29,7 +27,7 @@ impl CacheGeom {
 }
 
 /// Hit/miss counters for one level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Accesses that found their line resident.
     pub hits: u64,

@@ -14,11 +14,10 @@
 //! can print where a kernel's misses actually come from.
 
 use crate::cache::{CacheGeom, SetAssocCache};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Miss counts by cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MissBreakdown {
     /// Demand hits.
     pub hits: u64,

@@ -3,10 +3,9 @@
 //! microarchitectural characteristics of the two processors).
 
 use crate::cache::CacheGeom;
-use serde::{Deserialize, Serialize};
 
 /// Which evaluation platform a [`Machine`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineKind {
     /// Intel Pentium D 830 (dual core, 3 GHz) — column M1 of Table 5.
     M1,
@@ -16,7 +15,7 @@ pub enum MachineKind {
 
 /// A simulated machine: cache/TLB geometry plus the cycle model's
 /// latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Machine {
     /// Which platform this models.
     pub kind: MachineKind,

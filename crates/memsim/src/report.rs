@@ -2,10 +2,9 @@
 //! function) plus the miss-rate breakdown used throughout the evaluation.
 
 use crate::cache::LevelStats;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated statistics of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemReport {
     /// What was measured (kernel/function name).
     pub label: String,

@@ -6,10 +6,9 @@
 
 use crate::probe::{CacheProbe, Probe};
 use crate::Machine;
-use serde::{Deserialize, Serialize};
 
 /// One recorded memory event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Independent read `(addr, len)`.
     Read(usize, u32),

@@ -4,7 +4,6 @@ use crate::ap::{self, ApParams};
 use crate::quest::{generate as quest_generate, QuestParams};
 use crate::webdocs::{self, WebDocsParams};
 use fpm::TransactionDb;
-use serde::{Deserialize, Serialize};
 
 /// Reproduction scale. The paper's full sizes (300 K – 1.8 M
 /// transactions) are available, but the default reproduction runs 10×
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// the scaled working sets still exceed the simulated L2, so speedup
 /// *shape* is preserved (DESIGN.md §4.4). Supports scale with the
 /// transaction count so relative frequency thresholds match the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~100× down — seconds-fast; unit/integration tests.
     Smoke,
@@ -54,7 +53,7 @@ impl Scale {
 }
 
 /// One of the paper's four evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// T60I10D300K (IBM Quest synthetic).
     Ds1,

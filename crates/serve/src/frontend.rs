@@ -452,6 +452,19 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bomb_line_is_rejected_not_a_stack_overflow() {
+        let svc = MineService::start(ServeConfig::default());
+        let input = format!("{}\n", "[".repeat(300_000));
+        let mut out = Vec::new();
+        serve_lines(&svc, input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains(r#""outcome":"rejected""#), "{text}");
+        assert!(text.contains("nesting deeper than"), "{text}");
+        svc.shutdown();
+    }
+
+    #[test]
     fn tcp_frontend_answers_a_batch() {
         let svc = MineService::start(ServeConfig::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -1,12 +1,13 @@
 //! Minimal line-oriented JSON — parser and printer.
 //!
-//! The workspace builds offline against vendored dependency stand-ins
-//! (`vendor/serde` is an API stub with no real serialization), so the
+//! The workspace builds offline with no serialization crate, so the
 //! wire protocol hand-rolls the small JSON subset it needs: objects,
 //! arrays, strings, numbers, booleans, null. Objects are backed by a
 //! `Vec<(String, Json)>` — insertion-ordered, so rendering is
 //! deterministic and the module stays off hash-order iteration entirely
 //! (the R3 `deterministic-iteration` guarantee of the emission path).
+//! Nesting is capped at [`MAX_DEPTH`] so a hostile line gets a parse
+//! error instead of overflowing the recursive parser's stack.
 
 use std::fmt::Write as _;
 
@@ -154,10 +155,18 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The deepest
+/// valid request nests 4 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value from `input` (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -170,6 +179,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -199,8 +210,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -379,6 +397,16 @@ mod tests {
         assert!(parse("{} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
     }
 
     #[test]

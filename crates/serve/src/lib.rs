@@ -32,9 +32,9 @@
 //! * a deterministic **load generator** ([`loadgen`], `fpm-mine
 //!   loadgen`): a seeded open-loop schedule whose reproducible half is
 //!   committed as `BENCH_serve.json`;
-//! * per-request **metrics** through [`fpm::metrics::MetricSet`],
-//!   globally and per shard ([`MineService::metrics`],
-//!   [`MineService::shard_metrics`]).
+//! * per-request **metrics** through [`fpm::metrics::MetricSet`], kept
+//!   per shard ([`MineService::shard_metrics`]) and summed on read
+//!   ([`MineService::metrics`]).
 //!
 //! Every response carries an [`Outcome`]: `Complete`, `Cancelled`,
 //! `DeadlineExceeded`, `Rejected`, or `Failed` (a mining task panicked;

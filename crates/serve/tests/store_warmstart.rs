@@ -66,7 +66,7 @@ fn restart_answers_from_store_without_remining() {
     let warm = second.mine(MineRequest::new(spec(), Kernel::Lcm, MINSUP));
     assert_eq!(warm.outcome, Outcome::Complete);
     assert!(warm.stats.cache_hit, "restart must answer from the store");
-    assert_eq!(m.get("mined_runs"), 0, "zero mined_runs delta across restart");
+    assert_eq!(second.metrics().get("mined_runs"), 0, "zero mined_runs delta across restart");
     assert_eq!(
         warm.patterns, cold.patterns,
         "warm answer is byte-identical to the cold mine"
@@ -130,7 +130,7 @@ fn damage_in_any_section_degrades_to_cold_rebuild() {
         let resp = svc.mine(MineRequest::new(spec(), Kernel::Lcm, MINSUP));
         assert_eq!(resp.outcome, Outcome::Complete, "{label}");
         assert!(!resp.stats.cache_hit, "{label}: no poison served as a hit");
-        assert_eq!(m.get("mined_runs"), 1, "{label}: cold rebuild really mined");
+        assert_eq!(svc.metrics().get("mined_runs"), 1, "{label}: cold rebuild really mined");
         assert_eq!(
             resp.patterns, cold.patterns,
             "{label}: the fallback answer is byte-identical to the truth"
@@ -167,7 +167,7 @@ fn offline_append_invalidates_persisted_results() {
     );
     let resp = second.mine(MineRequest::new(spec(), Kernel::Lcm, MINSUP));
     assert_eq!(resp.outcome, Outcome::Complete);
-    assert_eq!(m.get("mined_runs"), 1, "the appended dataset re-mines");
+    assert_eq!(second.metrics().get("mined_runs"), 1, "the appended dataset re-mines");
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! Token-stream analysis helpers shared by the concurrency rules
-//! (R8–R12).
+//! (R8, R9, R11, R12).
 //!
 //! The original seven rules get by on flat token windows. Auditing
 //! atomics and locks needs three things beyond that:

@@ -1,22 +1,20 @@
-//! R8–R12: the concurrency-audit rules.
+//! R8, R9, R11 and R12: the concurrency-audit rules.
 //!
 //! PR 6 grew a real concurrency surface — sharded worker pools,
-//! global+shard lockstep counters, single-flight tables, a poll
-//! frontend — whose invariants were previously only *tested*
-//! dynamically (the chaos campaign). These rules check them statically
-//! at the PR boundary:
+//! single-flight tables, a poll frontend — whose invariants were
+//! previously only *tested* dynamically (the chaos campaign). These
+//! rules check them statically at the PR boundary:
 //!
 //! | id                             | invariant                                                |
 //! |--------------------------------|----------------------------------------------------------|
 //! | `atomic-ordering`              | every atomic op names its `Ordering`; `Relaxed` on a     |
 //! |                                | non-counter, and every `SeqCst`, carries `// ORDERING:`  |
 //! | `lock-order`                   | the per-file lock-acquisition graph is acyclic           |
-//! | `counter-lockstep`             | global and shard metrics increment in the same body      |
 //! | `panic-path`                   | no unwrap/expect/panic!/indexing on serve/steal paths    |
 //! | `guard-across-await-free-wait` | no guard held across a blocking wait, except a condvar's |
 //! |                                | own mutex                                                |
 //!
-//! All five rules skip `#[cfg(test)]` / `#[test]` spans
+//! All four rules skip `#[cfg(test)]` / `#[test]` spans
 //! ([`crate::analysis::test_mask`]): tests legitimately spin, unwrap,
 //! and park holding locks.
 
@@ -322,92 +320,6 @@ fn find_cycle<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// R10: counter-lockstep
-// ---------------------------------------------------------------------------
-
-pub(crate) fn rule_counter_lockstep(ctx: &FileCtx, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
-    let sig = sig_view(toks);
-    let mask = test_mask(&sig);
-    for body in fn_bodies(&sig) {
-        if mask[body.open] {
-            continue;
-        }
-        // (method, args) → lines of global-side / shard-side calls.
-        let mut global: BTreeMap<(String, String), Vec<u32>> = BTreeMap::new();
-        let mut shard: BTreeMap<(String, String), Vec<u32>> = BTreeMap::new();
-        for w in body.open..body.close {
-            let t = sig[w];
-            if mask[w]
-                || t.kind != TokKind::Ident
-                || !(t.is_ident("incr") || t.is_ident("add"))
-                || !sig[w - 1].is_punct('.')
-                || !sig.get(w + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            let args_close = matching_close(&sig, w + 1, '(', ')');
-            let args: String = sig[w + 2..args_close]
-                .iter()
-                .map(|a| a.text.as_str())
-                .collect::<Vec<_>>()
-                .join(" ");
-            match receiver_name(&sig, w - 1).as_deref() {
-                Some("metrics") => diags.push(Diagnostic {
-                    file: ctx.path.clone(),
-                    line: t.line,
-                    rule: "counter-lockstep",
-                    message: format!(
-                        "direct `metrics.{}({args})` bypasses the lockstep pair; increment \
-                         through the global+shard incrementer so per-shard sums stay equal \
-                         to the globals",
-                        t.text
-                    ),
-                }),
-                Some("global") => global
-                    .entry((t.text.clone(), args))
-                    .or_default()
-                    .push(t.line),
-                Some("shard") => shard
-                    .entry((t.text.clone(), args))
-                    .or_default()
-                    .push(t.line),
-                _ => {}
-            }
-        }
-        for (key, lines) in &global {
-            let paired = shard.get(key).map_or(0, Vec::len);
-            for &line in lines.iter().skip(paired) {
-                diags.push(Diagnostic {
-                    file: ctx.path.clone(),
-                    line,
-                    rule: "counter-lockstep",
-                    message: format!(
-                        "`global.{}({})` has no shard-side twin in `{}`; increment both \
-                         sides in the same body or per-shard sums drift from the globals",
-                        key.0, key.1, body.name
-                    ),
-                });
-            }
-        }
-        for (key, lines) in &shard {
-            let paired = global.get(key).map_or(0, Vec::len);
-            for &line in lines.iter().skip(paired) {
-                diags.push(Diagnostic {
-                    file: ctx.path.clone(),
-                    line,
-                    rule: "counter-lockstep",
-                    message: format!(
-                        "`shard.{}({})` has no global-side twin in `{}`; increment both \
-                         sides in the same body or per-shard sums drift from the globals",
-                        key.0, key.1, body.name
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // R11: panic-path
 // ---------------------------------------------------------------------------
 
@@ -605,31 +517,6 @@ mod tests {
         let d = lint_source(&ctx(), src);
         assert_eq!(rules_of(&d), vec!["lock-order"]);
         assert!(d[0].message.contains("queue -> queue"));
-    }
-
-    #[test]
-    fn r10_flags_dropped_shard_side_and_direct_bypass() {
-        let src = "impl M {\n    fn incr(&self, name: &str) {\n        self.global.incr(name);\n    }\n    fn record(&self, inner: &Inner) {\n        inner.metrics.incr(\"requests\");\n    }\n}\n";
-        let c = FileCtx {
-            lockstep_path: true,
-            ..ctx()
-        };
-        let d = lint_source(&c, src);
-        assert_eq!(rules_of(&d), vec!["counter-lockstep", "counter-lockstep"]);
-        assert!(d[0].message.contains("no shard-side twin"));
-        assert!(d[1].message.contains("bypasses the lockstep pair"));
-        // Off the lockstep path the same source is fine.
-        assert!(lint_source(&ctx(), src).is_empty());
-    }
-
-    #[test]
-    fn r10_accepts_paired_increments() {
-        let src = "impl M {\n    fn incr(&self, name: &str) {\n        self.global.incr(name);\n        self.shard.incr(name);\n    }\n    fn add(&self, name: &str, n: u64) {\n        self.global.add(name, n);\n        self.shard.add(name, n);\n    }\n}\n";
-        let c = FileCtx {
-            lockstep_path: true,
-            ..ctx()
-        };
-        assert!(lint_source(&c, src).is_empty());
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub const RULE_IDS: &[&str] = &[
     "chaos-sites",
     "atomic-ordering",
     "lock-order",
-    "counter-lockstep",
     "panic-path",
     "guard-across-await-free-wait",
 ];
@@ -161,9 +160,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "lock-order" => {
             "lock-order (R9)\n\nBuilds a per-file lock-acquisition graph: an edge A -> B whenever a\nguard of A is still live when B is locked (guards tracked through\n`let` bindings, `drop()`, and temporary-lifetime rules; lock names\nresolved through receiver chains like `shard.queue.lock()`). A cycle\nin that graph — including a self-edge, i.e. re-locking a mutex\nalready held — is a deadlock seed; the diagnostic prints the witness\npath. Fix by choosing one global acquisition order, or by dropping\nthe first guard before taking the second."
-        }
-        "counter-lockstep" => {
-            "counter-lockstep (R10)\n\nOn the serve metrics path, the global and the per-shard `MetricSet`\nmust move in lockstep: every `global.incr/add(…)` needs a\n`shard.incr/add(…)` twin with the same arguments in the same\nfunction body, and vice versa; incrementing `metrics.…` directly\nbypasses the pair. This is the static form of the chaos-campaign\ninvariant \"the sum of shard counters equals the global counter\"."
         }
         "panic-path" => {
             "panic-path (R11)\n\nOn panic-free paths (serve worker loop, poll frontend, par steal\npath) non-test code must not `unwrap`/`expect`, use the panic\nmacros, or index/slice with `[…]`. A panicking worker poisons locks\nand strands in-flight jobs. Recover instead (for poisoned locks:\n`unwrap_or_else(|e| e.into_inner())`), or carry the impossibility\nproof in an `// also-lint: allow(panic-path)` comment. Pre-existing\ndebt is pinned in lint-baseline.json and may only shrink."

@@ -33,8 +33,6 @@
 //!   `// ORDERING:` justification comment.
 //! - **lock-order** (R9): the per-file lock-acquisition graph is
 //!   acyclic; cycles are reported with a witness path.
-//! - **counter-lockstep** (R10): on the serve metrics path, global and
-//!   shard counters increment in the same body with the same args.
 //! - **panic-path** (R11): no `unwrap`/`expect`/panic macros/indexing
 //!   in non-test code on the serve worker, poll frontend, or par steal
 //!   paths.
@@ -69,6 +67,5 @@ pub use diag::{explain, to_json, to_sarif, Diagnostic, RULE_IDS};
 pub use rules::{lint_source, FileCtx};
 pub use workspace::{
     classify, lint_workspace, lintable_files, CHAOS_ZONE_FILES, CHAOS_ZONE_PREFIXES,
-    EMISSION_PATHS, KERNEL_INTERNAL_FILES, KERNEL_INTERNAL_PREFIXES, LOCKSTEP_PATHS,
-    PANIC_FREE_PATHS,
+    EMISSION_PATHS, KERNEL_INTERNAL_FILES, KERNEL_INTERNAL_PREFIXES, PANIC_FREE_PATHS,
 };

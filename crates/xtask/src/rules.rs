@@ -45,9 +45,6 @@ pub struct FileCtx {
     /// everyone else only crosses `faults::<site>` hooks and never
     /// schedules faults).
     pub chaos_zone: bool,
-    /// On the serve metrics path → R10 (counter-lockstep) applies:
-    /// global and shard counters must increment in the same body.
-    pub lockstep_path: bool,
     /// On a panic-free path (serve worker loop, poll frontend, par
     /// steal path) → R11 (panic-path) applies.
     pub panic_free_path: bool,
@@ -77,9 +74,6 @@ pub fn lint_source(ctx: &FileCtx, src: &str) -> Vec<Diagnostic> {
     }
     crate::concurrency::rule_atomic_ordering(ctx, &toks, &mut diags);
     crate::concurrency::rule_lock_order(ctx, &toks, &mut diags);
-    if ctx.lockstep_path {
-        crate::concurrency::rule_counter_lockstep(ctx, &toks, &mut diags);
-    }
     if ctx.panic_free_path {
         crate::concurrency::rule_panic_path(ctx, &toks, &mut diags);
     }

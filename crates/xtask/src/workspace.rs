@@ -68,12 +68,6 @@ pub const CHAOS_ZONE_PREFIXES: &[&str] = &["crates/chaos/"];
 /// module defining the fault plans and hook stubs.
 pub const CHAOS_ZONE_FILES: &[&str] = &["crates/fpm/src/faults.rs"];
 
-/// The serve metrics path, where R10 (counter-lockstep) applies: the
-/// global and per-shard `MetricSet` must increment in the same body,
-/// and only through the paired incrementer. This is the static form of
-/// the chaos-campaign invariant "shard counter sums equal the globals".
-pub const LOCKSTEP_PATHS: &[&str] = &["crates/serve/src/service.rs"];
-
 /// Panic-free paths, where R11 (panic-path) applies: the serve worker
 /// loop and single-flight machinery, the poll frontend's state machine,
 /// and the par runtime's steal path. A panic here poisons locks and
@@ -113,9 +107,6 @@ pub fn classify(root: &Path, rel: &str) -> FileCtx {
             || CHAOS_ZONE_FILES
                 .iter()
                 .any(|p| rel == *p || rel.ends_with(&format!("/{p}"))),
-        lockstep_path: LOCKSTEP_PATHS
-            .iter()
-            .any(|p| rel == *p || rel.ends_with(&format!("/{p}"))),
         panic_free_path: PANIC_FREE_PATHS
             .iter()
             .any(|p| rel == *p || rel.ends_with(&format!("/{p}"))),
@@ -261,14 +252,10 @@ mod tests {
     #[test]
     fn classify_marks_concurrency_paths() {
         let root = repo_root();
-        let c = classify(&root, "crates/serve/src/service.rs");
-        assert!(c.lockstep_path);
-        assert!(c.panic_free_path);
+        assert!(classify(&root, "crates/serve/src/service.rs").panic_free_path);
         assert!(classify(&root, "crates/serve/src/frontend.rs").panic_free_path);
-        assert!(!classify(&root, "crates/serve/src/frontend.rs").lockstep_path);
         assert!(classify(&root, "crates/par/src/lib.rs").panic_free_path);
         assert!(!classify(&root, "crates/serve/src/cache.rs").panic_free_path);
-        assert!(!classify(&root, "crates/fpm/src/metrics.rs").lockstep_path);
     }
 
     #[test]

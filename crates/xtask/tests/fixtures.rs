@@ -28,8 +28,6 @@ fn ctx(name: &str) -> FileCtx {
         // R7 is suspended inside crates/chaos and fpm::faults; the
         // fixtures model production code outside that zone.
         chaos_zone: false,
-        // R10 only fires on the serve metrics path.
-        lockstep_path: name.starts_with("r10"),
         // R11 only fires on panic-free paths.
         panic_free_path: name.starts_with("r11"),
     }
@@ -156,22 +154,6 @@ fn r9_lock_order() {
         "witness path missing: {msg}"
     );
     assert!(msg.contains("while holding"), "witness sites missing: {msg}");
-}
-
-#[test]
-fn r10_counter_lockstep() {
-    check("r10_good.rs", "counter-lockstep", false);
-    check("r10_bad.rs", "counter-lockstep", true);
-    // A dropped shard-side increment fails the build, as does the
-    // direct bypass of the paired incrementer.
-    let diags = lint_source(&ctx("r10_bad.rs"), &fixture("r10_bad.rs"));
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().any(|d| d.message.contains("no shard-side twin")));
-    assert!(diags.iter().any(|d| d.message.contains("bypasses the lockstep pair")));
-    // Off the lockstep path the same source is fine.
-    let mut off = ctx("r10_bad.rs");
-    off.lockstep_path = false;
-    assert!(lint_source(&off, &fixture("r10_bad.rs")).is_empty());
 }
 
 #[test]
