@@ -16,9 +16,7 @@
 //! [`advise`] turns a profile + kernel into a recommended pattern set.
 //! Integration tests validate the advice against measured best variants.
 
-use crate::adapt::{choose_container, choose_repr, ContainerKind, Repr};
 use crate::catalog::{Kernel, Pattern};
-use crate::containers::{CHUNK_BITS, TidSet};
 use crate::lexorder::clustering_cost;
 
 /// Summary statistics of a transactional database, as used by the
@@ -148,101 +146,6 @@ pub fn advise(profile: &InputProfile, kernel: Kernel, cfg: &AdvisorConfig) -> Ve
     out
 }
 
-// ---------------------------------------------------------------------------
-// Per-chunk vertical advisory — the container-era refinement of the
-// global `choose_repr` pick.
-// ---------------------------------------------------------------------------
-
-/// Occupancy profile of one 2^16-tid chunk of a tid universe: everything
-/// the per-chunk container rule needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkProfile {
-    /// Chunk key (tid high 16 bits).
-    pub key: u16,
-    /// Distinct tids present in the chunk.
-    pub cardinality: u32,
-    /// Maximal runs the chunk's tids form.
-    pub n_runs: u32,
-}
-
-impl ChunkProfile {
-    /// Measures the per-chunk profiles of a strictly ascending tid list.
-    pub fn measure_sorted(tids: &[u32]) -> Vec<ChunkProfile> {
-        debug_assert!(tids.windows(2).all(|w| w[0] < w[1]), "tids must be strictly ascending");
-        let mut out: Vec<ChunkProfile> = Vec::new();
-        let mut prev: Option<u32> = None;
-        for &t in tids {
-            let key = (t >> CHUNK_BITS) as u16;
-            let new_chunk = out.last().is_none_or(|p| p.key != key);
-            if new_chunk {
-                out.push(ChunkProfile { key, cardinality: 0, n_runs: 0 });
-                prev = None;
-            }
-            let p = out.last_mut().unwrap_or_else(|| unreachable!("pushed above"));
-            p.cardinality += 1;
-            if prev != Some(t.wrapping_sub(1)) {
-                p.n_runs += 1;
-            }
-            prev = Some(t);
-        }
-        out
-    }
-}
-
-/// Which decision procedure the vertical auto-chooser runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AutoMode {
-    /// Per-chunk container choices (the default, container-era path).
-    PerChunk,
-    /// The pre-container single global representation pick, kept as an
-    /// A/B fallback; reproduces [`choose_repr`]'s decisions bit-for-bit.
-    Global,
-}
-
-/// The advisor's plan for a vertical tid universe.
-#[derive(Debug, Clone, PartialEq)]
-pub enum VerticalPlan {
-    /// One representation for the whole table ([`AutoMode::Global`]).
-    Global(Repr),
-    /// `(chunk_key, container)` choices per chunk ([`AutoMode::PerChunk`]).
-    PerChunk(Vec<(u16, ContainerKind)>),
-}
-
-/// Advises a vertical representation for one tid universe.
-///
-/// In [`AutoMode::Global`] this defers to [`choose_repr`] with the exact
-/// same inputs the pre-container chooser used — the decision is
-/// bit-for-bit identical. In [`AutoMode::PerChunk`] it applies the
-/// static container cost rule ([`choose_container`]) to each measured
-/// chunk independently.
-pub fn advise_vertical(
-    profile: &InputProfile,
-    chunks: &[ChunkProfile],
-    distinct_ratio: f64,
-    mode: AutoMode,
-) -> VerticalPlan {
-    match mode {
-        AutoMode::Global => VerticalPlan::Global(choose_repr(
-            profile.n_transactions,
-            profile.n_items,
-            profile.nnz,
-            distinct_ratio,
-        )),
-        AutoMode::PerChunk => VerticalPlan::PerChunk(
-            chunks
-                .iter()
-                .map(|c| (c.key, choose_container(c.cardinality as usize, c.n_runs as usize)))
-                .collect(),
-        ),
-    }
-}
-
-/// Convenience: the per-chunk plan a [`TidSet`] actually materialized —
-/// lets tests and benches confirm the built layout matches the advice.
-pub fn realized_plan(set: &TidSet) -> Vec<(u16, ContainerKind)> {
-    set.chunk_kinds().into_iter().map(|(k, kind, _)| (k, kind)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,121 +233,6 @@ mod tests {
         let advice = advise(&dense_clustered(), Kernel::FpGrowth, &AdvisorConfig::default());
         assert!(advice.contains(&Pattern::SoftwarePrefetch));
         assert!(advice.contains(&Pattern::PrefetchPointers));
-    }
-
-    fn profile_for(n: usize, items: usize, nnz: u64) -> InputProfile {
-        InputProfile {
-            n_transactions: n,
-            n_items: items,
-            nnz,
-            mean_len: if n == 0 { 0.0 } else { nnz as f64 / n as f64 },
-            density: if n * items == 0 { 0.0 } else { nnz as f64 / (n * items) as f64 },
-            scatter: 0.5,
-        }
-    }
-
-    #[test]
-    fn per_chunk_all_sparse_picks_arrays() {
-        // 3 chunks, a few hundred scattered tids each.
-        let tids: Vec<u32> = (0..900u32).map(|i| i * 217).collect();
-        let chunks = ChunkProfile::measure_sorted(&tids);
-        assert!(chunks.len() >= 2);
-        let VerticalPlan::PerChunk(plan) =
-            advise_vertical(&profile_for(200_000, 100, 900), &chunks, 1.0, AutoMode::PerChunk)
-        else {
-            panic!("PerChunk mode must yield a per-chunk plan")
-        };
-        assert!(plan.iter().all(|&(_, k)| k == ContainerKind::Array), "{plan:?}");
-    }
-
-    #[test]
-    fn per_chunk_all_dense_picks_bitmaps() {
-        // Every other tid set across two chunks: card 32768/chunk, runs
-        // 32768/chunk — bitmap beats both array (too big) and runs.
-        let tids: Vec<u32> = (0..65536u32).map(|i| i * 2).collect();
-        let chunks = ChunkProfile::measure_sorted(&tids);
-        assert_eq!(chunks.len(), 2);
-        let VerticalPlan::PerChunk(plan) =
-            advise_vertical(&profile_for(131_072, 10, 65_536), &chunks, 1.0, AutoMode::PerChunk)
-        else {
-            panic!("PerChunk mode must yield a per-chunk plan")
-        };
-        assert!(plan.iter().all(|&(_, k)| k == ContainerKind::Bitmap), "{plan:?}");
-    }
-
-    #[test]
-    fn per_chunk_run_heavy_picks_runs() {
-        // One solid block of 20k consecutive tids: 1 run beats everything.
-        let tids: Vec<u32> = (10_000..30_000u32).collect();
-        let chunks = ChunkProfile::measure_sorted(&tids);
-        assert_eq!(chunks.len(), 1);
-        let VerticalPlan::PerChunk(plan) =
-            advise_vertical(&profile_for(65_536, 10, 20_000), &chunks, 1.0, AutoMode::PerChunk)
-        else {
-            panic!("PerChunk mode must yield a per-chunk plan")
-        };
-        assert_eq!(plan, vec![(0u16, ContainerKind::Runs)]);
-    }
-
-    #[test]
-    fn per_chunk_mixed_profile_differs_per_chunk() {
-        // Chunk 0 sparse, chunk 1 a solid run, chunk 2 dense-scattered.
-        let mut tids: Vec<u32> = (0..100u32).map(|i| i * 600).collect();
-        tids.extend(65_536..65_536 + 30_000u32);
-        tids.extend((0..30_000u32).map(|i| 131_072 + i * 2));
-        let chunks = ChunkProfile::measure_sorted(&tids);
-        assert_eq!(chunks.len(), 3);
-        let VerticalPlan::PerChunk(plan) = advise_vertical(
-            &profile_for(200_000, 10, tids.len() as u64),
-            &chunks,
-            1.0,
-            AutoMode::PerChunk,
-        ) else {
-            panic!("PerChunk mode must yield a per-chunk plan")
-        };
-        assert_eq!(
-            plan,
-            vec![
-                (0u16, ContainerKind::Array),
-                (1u16, ContainerKind::Runs),
-                (2u16, ContainerKind::Bitmap),
-            ]
-        );
-    }
-
-    #[test]
-    fn global_fallback_reproduces_choose_repr_bit_for_bit() {
-        // Sweep a grid of gross statistics: the Global plan must equal the
-        // legacy chooser's pick on every point.
-        for &(n, items, nnz, ratio) in &[
-            (300usize, 100usize, 12_000u64, 1.0f64), // dense → VerticalBits
-            (100_000, 10_000, 1_000_000, 0.2),       // shared → PrefixTree
-            (100_000, 10_000, 1_000_000, 0.9),       // sparse → HorizontalSparse
-            (0, 0, 0, 1.0),                          // empty
-            (1_800_000, 200_000, 16_200_000, 1.0),   // DS4-like
-        ] {
-            let p = profile_for(n, items, nnz);
-            let plan = advise_vertical(&p, &[], ratio, AutoMode::Global);
-            assert_eq!(plan, VerticalPlan::Global(choose_repr(n, items, nnz, ratio)));
-        }
-    }
-
-    #[test]
-    fn realized_layout_matches_advice_after_optimize() {
-        let mut tids: Vec<u32> = (0..100u32).map(|i| i * 600).collect();
-        tids.extend(65_536..65_536 + 30_000u32);
-        let chunks = ChunkProfile::measure_sorted(&tids);
-        let VerticalPlan::PerChunk(plan) = advise_vertical(
-            &profile_for(100_000, 10, tids.len() as u64),
-            &chunks,
-            1.0,
-            AutoMode::PerChunk,
-        ) else {
-            panic!("PerChunk mode must yield a per-chunk plan")
-        };
-        let mut set = TidSet::from_sorted(&tids);
-        set.optimize();
-        assert_eq!(realized_plan(&set), plan);
     }
 
     #[test]

@@ -1199,8 +1199,8 @@ impl TidSet {
         self.keys.iter().copied().zip(self.chunks.iter())
     }
 
-    /// The `(key, kind, cardinality)` layout — what the per-chunk advisor
-    /// decided for each chunk.
+    /// The `(key, kind, cardinality)` layout — what each chunk holds, as
+    /// built or as [`TidSet::optimize`] chose it.
     pub fn chunk_kinds(&self) -> Vec<(u16, ContainerKind, u32)> {
         self.chunks()
             .map(|(k, c)| (k, c.kind(), c.cardinality()))
@@ -1655,6 +1655,25 @@ mod tests {
         assert_eq!(s.chunk_kinds()[0].1, ContainerKind::Array);
         s.optimize();
         assert_eq!(s.chunk_kinds()[0].1, ContainerKind::Runs);
+        assert_eq!(s.to_vec(), tids);
+
+        // Mixed layout: chunk 0 sparse, chunk 1 a solid run, chunk 2
+        // every other tid — each chunk decides on its own.
+        let mut tids: Vec<u32> = (0..100u32).map(|i| i * 600).collect();
+        tids.extend(65_536..65_536 + 30_000u32);
+        tids.extend((0..30_000u32).map(|i| 131_072 + i * 2));
+        let mut s = set(&tids);
+        s.optimize();
+        let layout: Vec<(u16, ContainerKind)> =
+            s.chunk_kinds().into_iter().map(|(k, kind, _)| (k, kind)).collect();
+        assert_eq!(
+            layout,
+            vec![
+                (0, ContainerKind::Array),
+                (1, ContainerKind::Runs),
+                (2, ContainerKind::Bitmap)
+            ]
+        );
         assert_eq!(s.to_vec(), tids);
     }
 

@@ -367,7 +367,7 @@ fn serve_usage() -> ! {
                 [--shards N] [--workers N] [--queue-depth N]
                 [--cache N] [--cache-bytes N] [--cache-ttl-ms N]
                 [--mine-threads N] [--max-bound X]
-                [--store-dir DIR] [--poll] [--max-conns N]
+                [--store-dir DIR] [--max-conns N]
 
   one JSON request per line in, one JSON response per line out, e.g.
   {{\"dataset\":{{\"name\":\"ds1\",\"scale\":\"smoke\"}},\"kernel\":\"lcm\",
@@ -383,8 +383,6 @@ fn serve_usage() -> ! {
   --max-bound     admission ceiling on the candidate bound (default unlimited)
   --store-dir     persistent artifact store: warm-start cached results on
                   boot, flush the result cache there on shutdown
-  --poll          with --addr: one event-driven frontend thread instead of
-                  a thread per connection
   --max-conns     with --addr: exit after N connections (default: serve forever)"
     );
     std::process::exit(2);
@@ -394,7 +392,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
     let mut cfg = serve::ServeConfig::default();
     let mut addr: Option<String> = None;
     let mut stdio = false;
-    let mut poll = false;
     let mut max_conns: Option<usize> = None;
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -405,7 +402,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
         match argv[i].as_str() {
             "--stdio" => stdio = true,
             "--addr" => addr = Some(value(&mut i)),
-            "--poll" => poll = true,
             "--shards" => cfg.shards = value(&mut i).parse().unwrap_or_else(|_| serve_usage()),
             "--workers" => cfg.workers = value(&mut i).parse().unwrap_or_else(|_| serve_usage()),
             "--queue-depth" => {
@@ -454,13 +450,7 @@ fn run_serve(argv: &[String]) -> ExitCode {
                     "serving on {}",
                     listener.local_addr().map(|a| a.to_string()).unwrap_or(addr)
                 );
-                if poll {
-                    serve::serve_poll(
-                        &service,
-                        listener,
-                        serve::FrontendConfig::default(),
-                        max_conns,
-                    )
+                serve::serve_poll(&service, listener, serve::FrontendConfig::default(), max_conns)
                     .map(|stats| {
                         eprintln!(
                             "poll frontend: {} served, {} refused, {} quota rejections",
@@ -469,9 +459,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
                             stats.quota_rejections
                         );
                     })
-                } else {
-                    serve::serve_tcp(&service, listener, max_conns)
-                }
             }
             Err(e) => {
                 eprintln!("cannot bind {addr}: {e}");

@@ -1,12 +1,16 @@
-//! Sparse vertical representations: **tid-lists** and **diffsets** —
-//! the other side of the paper's Feature 2 design space (§3.3, P2 data
-//! structure adaptation), and the dEclat algorithm of Zaki & Gouda
-//! (KDD'03, the paper's reference \[33\]).
+//! Sparse vertical representations: **hybrid containers** and
+//! **diffsets** — the other side of the paper's Feature 2 design space
+//! (§3.3, P2 data structure adaptation), and the dEclat algorithm of
+//! Zaki & Gouda (KDD'03, the paper's reference \[33\]).
 //!
 //! A dense bit matrix spends one bit per (item, transaction) *cell*; a
-//! tid-list spends 32 bits per *occurrence*. Below ~1/32 density the
-//! list wins — which is exactly the boundary
-//! [`also::adapt::choose_repr`] encodes, and [`mine_auto`] consumes.
+//! 32-bit tid-list spends 32 bits per *occurrence*. Below ~1/32 density
+//! the list wins — which is exactly the boundary
+//! [`also::adapt::choose_repr`] encodes, and [`mine_auto`] consumes. The
+//! sparse side it runs is the hybrid miner: each 2^16-tid chunk of every
+//! tid-set picks its own array (16 bits per occurrence), bitmap or run
+//! container by the one rule in [`also::adapt::choose_container`],
+//! applied by [`also::containers::TidSet::optimize`] (DESIGN.md §16).
 //!
 //! Diffsets go further for dense data: within a prefix equivalence
 //! class, each member stores only the transactions *lost* relative to
@@ -15,7 +19,6 @@
 
 use crate::hybrid::HybridMiner;
 use crate::EclatConfig;
-use also::advisor::AutoMode;
 use fpm::control::MineControl;
 use fpm::vertical::VerticalHybridDb;
 use fpm::{remap, PatternSink, TransactionDb, TranslateSink};
@@ -24,9 +27,6 @@ use memsim::{NullProbe, Probe};
 /// Vertical set representation for the sparse miner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseRepr {
-    /// Plain sorted tid-lists, intersected by merge (the flat global-pick
-    /// baseline, kept for A/B against the containers).
-    TidLists,
     /// dEclat: tidsets at level 1, diffsets below.
     Diffsets,
     /// Roaring-style adaptive containers: per-2^16-tid chunks stored as
@@ -46,7 +46,7 @@ pub struct SparseStats {
     pub elements_in: u64,
 }
 
-/// Mines every frequent itemset over sorted tid-lists (or diffsets),
+/// Mines every frequent itemset over hybrid containers (or diffsets),
 /// emitting patterns in **original item ids**. Results are identical to
 /// the bit-matrix [`crate::mine`].
 pub fn mine<S: PatternSink>(
@@ -67,89 +67,60 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     sink: &mut S,
 ) -> SparseStats {
     let ranked = remap(db, minsup);
-    if repr == SparseRepr::Hybrid {
-        // Hybrid containers: build the per-chunk adaptive columns and run
-        // the container DFS (crate::hybrid). Same class walk, same output.
-        let hdb = VerticalHybridDb::from_ranked(&ranked.transactions, ranked.n_ranks());
-        let mut translate = TranslateSink::new(&ranked.map, Fwd(sink));
-        let control = MineControl::unlimited();
-        let mut miner = HybridMiner {
-            minsup: minsup.max(1),
-            probe,
-            sink: &mut translate,
-            stats: SparseStats::default(),
-            control: &control,
-            cut: false,
-            prefix: Vec::new(),
-        };
-        miner.run(&hdb);
-        return miner.stats;
-    }
-    // Build tid-lists directly: transactions are scanned once.
-    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); ranked.n_ranks()];
-    for (tid, t) in ranked.transactions.iter().enumerate() {
-        for &r in t {
-            lists[r as usize].push(tid as u32);
-        }
-    }
     let mut translate = TranslateSink::new(&ranked.map, Fwd(sink));
     let minsup = minsup.max(1);
-    let mut stats = SparseStats::default();
-    let class: Vec<Member> = lists
-        .into_iter()
-        .enumerate()
-        .map(|(r, tids)| Member {
-            item: r as u32,
-            support: tids.len() as u64,
-            set: tids,
-        })
-        .collect();
-    let mut prefix = Vec::new();
     match repr {
-        SparseRepr::TidLists => recurse_tids(
-            &class,
-            &mut prefix,
-            minsup,
-            probe,
-            &mut translate,
-            &mut stats,
-        ),
-        SparseRepr::Diffsets => {
-            // Level 1 members carry tidsets; recursion converts to
-            // diffsets: d(xy) = t(x) − t(y).
-            recurse_level1_diff(&class, &mut prefix, minsup, probe, &mut translate, &mut stats)
+        SparseRepr::Hybrid => {
+            // Build the per-chunk adaptive columns and run the container
+            // DFS (crate::hybrid): the bit-matrix class walk, same output.
+            let hdb = VerticalHybridDb::from_ranked(&ranked.transactions, ranked.n_ranks());
+            let control = MineControl::unlimited();
+            let mut miner = HybridMiner {
+                minsup,
+                probe,
+                sink: &mut translate,
+                stats: SparseStats::default(),
+                control: &control,
+                cut: false,
+                prefix: Vec::new(),
+            };
+            miner.run(&hdb);
+            miner.stats
         }
-        SparseRepr::Hybrid => unreachable!("handled above"),
+        SparseRepr::Diffsets => {
+            // Level 1 members carry tidsets, built in one scan of the
+            // transactions; recursion converts to diffsets:
+            // d(xy) = t(x) − t(y).
+            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); ranked.n_ranks()];
+            for (tid, t) in ranked.transactions.iter().enumerate() {
+                for &r in t {
+                    lists[r as usize].push(tid as u32);
+                }
+            }
+            let class: Vec<Member> = lists
+                .into_iter()
+                .enumerate()
+                .map(|(r, tids)| Member {
+                    item: r as u32,
+                    support: tids.len() as u64,
+                    set: tids,
+                })
+                .collect();
+            let mut stats = SparseStats::default();
+            let mut prefix = Vec::new();
+            recurse_level1_diff(&class, &mut prefix, minsup, probe, &mut translate, &mut stats);
+            stats
+        }
     }
-    stats
 }
 
 /// Picks bit matrix vs sparse from the measured density
-/// ([`also::adapt::choose_repr`]) and runs the corresponding miner.
-/// Returns which representation was chosen.
-///
-/// The density *decision* is unchanged from the pre-container chooser
-/// (bit-for-bit — [`also::advisor::AutoMode::Global`] pins this); what
-/// changed is the sparse branch's *execution*, which now runs the hybrid
-/// containers. Use [`mine_auto_mode`] with [`AutoMode::Global`] to also
-/// execute the legacy flat tid-lists for A/B.
+/// ([`also::adapt::choose_repr`]) and runs the corresponding miner: the
+/// bit matrix, or the hybrid containers for every sparse pick. Returns
+/// which representation was chosen.
 pub fn mine_auto<S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
-    sink: &mut S,
-) -> also::adapt::Repr {
-    mine_auto_mode(db, minsup, AutoMode::PerChunk, sink)
-}
-
-/// [`mine_auto`] with an explicit execution mode: the representation
-/// decision is always the legacy global [`also::adapt::choose_repr`]
-/// pick, but the sparse branch runs per-chunk hybrid containers in
-/// [`AutoMode::PerChunk`] and the flat `Vec<u32>` tid-lists in
-/// [`AutoMode::Global`] — the A/B lever the ablation bench flips.
-pub fn mine_auto_mode<S: PatternSink>(
-    db: &TransactionDb,
-    minsup: u64,
-    mode: AutoMode,
     sink: &mut S,
 ) -> also::adapt::Repr {
     let ranked = remap(db, minsup);
@@ -165,11 +136,7 @@ pub fn mine_auto_mode<S: PatternSink>(
             crate::mine(db, minsup, &EclatConfig::all(), sink);
         }
         _ => {
-            let sparse = match mode {
-                AutoMode::PerChunk => SparseRepr::Hybrid,
-                AutoMode::Global => SparseRepr::TidLists,
-            };
-            mine(db, minsup, sparse, sink);
+            mine(db, minsup, SparseRepr::Hybrid, sink);
         }
     }
     repr
@@ -185,38 +152,8 @@ impl<S: PatternSink> PatternSink for Fwd<'_, S> {
 struct Member {
     item: u32,
     support: u64,
-    /// tidset (tid-list mode / level 1) or diffset (deeper dEclat levels).
+    /// tidset (level 1) or diffset (deeper dEclat levels).
     set: Vec<u32>,
-}
-
-/// Sorted-merge intersection with probing.
-fn intersect<P: Probe>(a: &[u32], b: &[u32], probe: &mut P, stats: &mut SparseStats) -> Vec<u32> {
-    stats.set_ops += 1;
-    stats.elements_in += (a.len() + b.len()) as u64;
-    let (pa, la) = memsim::slice_span(a);
-    probe.read(pa, la);
-    let (pb, lb) = memsim::slice_span(b);
-    probe.read(pb, lb);
-    probe.instr((a.len() + b.len()) as u64 * 3);
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    stats.elements_out += out.len() as u64;
-    if !out.is_empty() {
-        let (po, lo) = memsim::slice_span(out.as_slice());
-        probe.write(po, lo);
-    }
-    out
 }
 
 /// Sorted-merge difference `a − b` with probing.
@@ -247,35 +184,6 @@ fn difference<P: Probe>(a: &[u32], b: &[u32], probe: &mut P, stats: &mut SparseS
         probe.write(po, lo);
     }
     out
-}
-
-fn recurse_tids<P: Probe, S: PatternSink>(
-    class: &[Member],
-    prefix: &mut Vec<u32>,
-    minsup: u64,
-    probe: &mut P,
-    sink: &mut S,
-    stats: &mut SparseStats,
-) {
-    for (i, c) in class.iter().enumerate() {
-        prefix.push(c.item);
-        sink.emit(prefix, c.support);
-        let mut next = Vec::new();
-        for d in &class[i + 1..] {
-            let t = intersect(&c.set, &d.set, probe, stats);
-            if t.len() as u64 >= minsup {
-                next.push(Member {
-                    item: d.item,
-                    support: t.len() as u64,
-                    set: t,
-                });
-            }
-        }
-        if !next.is_empty() {
-            recurse_tids(&next, prefix, minsup, probe, sink, stats);
-        }
-        prefix.pop();
-    }
 }
 
 /// Level 1 of dEclat: members hold tidsets; children get diffsets
@@ -365,10 +273,9 @@ mod tests {
     }
 
     #[test]
-    fn tidlists_and_diffsets_match_naive() {
+    fn hybrid_and_diffsets_match_naive() {
         for minsup in 1..=5u64 {
             let expect = canonicalize(fpm::naive::mine(&toy(), minsup));
-            assert_eq!(run(&toy(), minsup, SparseRepr::TidLists), expect, "tids {minsup}");
             assert_eq!(run(&toy(), minsup, SparseRepr::Diffsets), expect, "diff {minsup}");
             assert_eq!(run(&toy(), minsup, SparseRepr::Hybrid), expect, "hybrid {minsup}");
         }
@@ -392,13 +299,12 @@ mod tests {
         crate::mine(&db, 6, &EclatConfig::all(), &mut bits);
         let expect = canonicalize(bits.patterns);
         assert!(!expect.is_empty());
-        assert_eq!(run(&db, 6, SparseRepr::TidLists), expect);
         assert_eq!(run(&db, 6, SparseRepr::Diffsets), expect);
         assert_eq!(run(&db, 6, SparseRepr::Hybrid), expect);
     }
 
     #[test]
-    fn hybrid_matches_flat_and_moves_fewer_bytes_on_sparse() {
+    fn hybrid_matches_bits_and_walks_the_same_classes() {
         // Sparse scattered shape: long tid universe, low per-item density —
         // the profile the containers target.
         let mut s = 41u64;
@@ -413,49 +319,33 @@ mod tests {
                 .map(|_| (0..14u32).filter(|_| rnd() % 5 == 0).collect::<Vec<_>>())
                 .collect(),
         );
-        let mut flat_sink = CollectSink::default();
-        let flat = mine(&db, 40, SparseRepr::TidLists, &mut flat_sink);
+        let mut bits_sink = CollectSink::default();
+        let bits = crate::mine(&db, 40, &EclatConfig::all(), &mut bits_sink);
         let mut hyb_sink = CollectSink::default();
         let hyb = mine(&db, 40, SparseRepr::Hybrid, &mut hyb_sink);
         assert_eq!(
-            canonicalize(flat_sink.patterns),
+            canonicalize(bits_sink.patterns),
             canonicalize(hyb_sink.patterns)
         );
-        // Same class walk → same op/element counts; the wins come from
-        // bytes-per-element and per-chunk kernels, not from a different
-        // search.
-        assert_eq!(flat.set_ops, hyb.set_ops);
-        assert_eq!(flat.elements_out, hyb.elements_out);
-    }
-
-    #[test]
-    fn auto_mode_global_runs_legacy_flat_path() {
-        let sparse = TransactionDb::from_transactions(
-            (0..500u32).map(|k| vec![k % 97, 97 + k % 89]).collect(),
-        );
-        let mut per_chunk = CollectSink::default();
-        let r1 = mine_auto_mode(&sparse, 3, AutoMode::PerChunk, &mut per_chunk);
-        let mut global = CollectSink::default();
-        let r2 = mine_auto_mode(&sparse, 3, AutoMode::Global, &mut global);
-        // Identical decision, identical output — only the execution differs.
-        assert_eq!(r1, r2);
-        assert_eq!(
-            canonicalize(per_chunk.patterns),
-            canonicalize(global.patterns)
-        );
+        // Same class walk → one set operation per bit-matrix intersection
+        // (short-circuited ones included); the containers change the
+        // bytes per element, not the search.
+        assert_eq!(hyb.set_ops, bits.intersections);
     }
 
     #[test]
     fn diffsets_shrink_on_dense_data() {
         // Dense database: diffsets must move far fewer elements than
-        // tid-lists — dEclat's raison d'être.
+        // tidsets — dEclat's raison d'être. The hybrid miner writes whole
+        // tidsets (every intersection's cardinality) on the same class
+        // walk.
         let db = TransactionDb::from_transactions(
             (0..400u32)
                 .map(|k| (0..12u32).filter(|&i| (k + i) % 13 != 0).collect::<Vec<_>>())
                 .collect(),
         );
         let mut s1 = CollectSink::default();
-        let tids = mine(&db, 40, SparseRepr::TidLists, &mut s1);
+        let tids = mine(&db, 40, SparseRepr::Hybrid, &mut s1);
         let mut s2 = CollectSink::default();
         let diff = mine(&db, 40, SparseRepr::Diffsets, &mut s2);
         assert_eq!(canonicalize(s1.patterns), canonicalize(s2.patterns));
@@ -474,7 +364,7 @@ mod tests {
             mine_auto(&toy(), 1, &mut CollectSink::default()),
             also::adapt::Repr::VerticalBits
         );
-        // very sparse synthetic → tid-lists, same results as bits
+        // very sparse synthetic → hybrid containers, same results as bits
         let sparse = TransactionDb::from_transactions(
             (0..500u32).map(|k| vec![k % 97, 97 + k % 89]).collect(),
         );
@@ -493,11 +383,9 @@ mod tests {
     fn set_algebra_edge_cases() {
         let mut st = SparseStats::default();
         let mut p = NullProbe;
-        assert_eq!(intersect(&[], &[1, 2], &mut p, &mut st), Vec::<u32>::new());
-        assert_eq!(intersect(&[1, 3, 5], &[2, 3, 4, 5], &mut p, &mut st), vec![3, 5]);
         assert_eq!(difference(&[1, 2, 3], &[], &mut p, &mut st), vec![1, 2, 3]);
         assert_eq!(difference(&[1, 2, 3], &[2], &mut p, &mut st), vec![1, 3]);
         assert_eq!(difference(&[], &[1], &mut p, &mut st), Vec::<u32>::new());
-        assert_eq!(st.set_ops, 5);
+        assert_eq!(st.set_ops, 3);
     }
 }

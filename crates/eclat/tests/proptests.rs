@@ -1,5 +1,5 @@
-//! Property tests: every Eclat variant — bit-matrix ladder, tid-lists,
-//! diffsets — mines the same patterns on arbitrary inputs.
+//! Property tests: every Eclat variant — bit-matrix ladder, hybrid
+//! containers, diffsets — mines the same patterns on arbitrary inputs.
 
 use fpm_eclat as eclat;
 use eclat::tidlist::SparseRepr;
@@ -37,7 +37,6 @@ proptest! {
         for (name, cfg) in eclat::variants() {
             prop_assert_eq!(run_bits(&db, minsup, &cfg), expect.clone(), "{}", name);
         }
-        prop_assert_eq!(run_sparse(&db, minsup, SparseRepr::TidLists), expect.clone());
         prop_assert_eq!(run_sparse(&db, minsup, SparseRepr::Diffsets), expect.clone());
         prop_assert_eq!(run_sparse(&db, minsup, SparseRepr::Hybrid), expect.clone());
         let mut auto_sink = CollectSink::default();

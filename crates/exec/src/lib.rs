@@ -398,30 +398,8 @@ fn drive<K: KernelSpine, S: PatternSink>(
             // what already streamed is still a clean serial prefix, and
             // the control records the failure as the first cause.
             let mut controlled = ControlledSink::new(control, sink);
-            let mut probe = NullProbe;
-            let mut cut = false;
-            for task in tasks {
-                if control.should_stop() {
-                    cut = true;
-                    break;
-                }
-                let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    K::mine_task(&prepared, task, &mut probe, control, &mut controlled)
-                }));
-                match done {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        cut = true;
-                        break;
-                    }
-                    Err(_payload) => {
-                        control.trip_panicked();
-                        cut = true;
-                        break;
-                    }
-                }
-            }
-            !cut && controlled.suppressed == 0
+            serial_tasks::<K, _>(&prepared, tasks, control, &mut controlled)
+                && controlled.suppressed == 0
         }
         Mode::Parallel(par_cfg) => {
             // Each task mines into a private buffer whose completeness

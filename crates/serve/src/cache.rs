@@ -27,7 +27,7 @@
 //! reads the entry as [`Lookup::Expired`] — dropped and re-mined, and
 //! counted as a *miss* (never a hit) in the service's probe arithmetic.
 
-use fpm::{ItemsetCount, QueryKey, TransactionDb};
+use fpm::{ItemsetCount, QueryKey};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,28 +35,10 @@ use std::time::{Duration, Instant};
 /// `(dataset fingerprint, kernel code, min_support, query key)`.
 pub type CacheKey = (u64, u8, u64, QueryKey);
 
-/// FNV-1a over the full transaction content — shape and items — so two
-/// datasets collide only with 64-bit-hash probability. Deterministic
-/// across runs and platforms.
-pub fn fingerprint(db: &TransactionDb) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(db.len() as u64);
-    for t in db.transactions() {
-        eat(t.len() as u64);
-        for &item in t {
-            eat(item as u64);
-        }
-    }
-    h
-}
+/// The dataset fingerprint of the cache key: the store's FNV-1a over the
+/// full transaction content, so a cache key and an artifact's recorded
+/// fingerprint are the same number by construction.
+pub use store::fingerprint;
 
 /// FNV-1a over a pattern list — length, items, and supports — the
 /// integrity stamp each cache entry carries from insert to probe.
@@ -343,15 +325,6 @@ mod tests {
     /// The historical 3-tuple key padded with the identity query.
     fn k(fingerprint: u64, kernel: u8, minsup: u64) -> CacheKey {
         (fingerprint, kernel, minsup, QueryKey::default())
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_contents() {
-        let a = TransactionDb::from_transactions(vec![vec![1, 2], vec![3]]);
-        let b = TransactionDb::from_transactions(vec![vec![1], vec![2, 3]]);
-        let c = TransactionDb::from_transactions(vec![vec![1, 2], vec![3]]);
-        assert_ne!(fingerprint(&a), fingerprint(&b), "same items, split differently");
-        assert_eq!(fingerprint(&a), fingerprint(&c));
     }
 
     #[test]

@@ -1,32 +1,48 @@
 //! Wire frontends: the line-delimited JSON protocol over any
-//! reader/writer pair, a thread-per-connection TCP acceptor, an
-//! event-driven non-blocking TCP poll loop, and a stdin/stdout binding.
+//! reader/writer pair, a stdin/stdout binding of it, and the
+//! event-driven non-blocking TCP poll loop.
 //!
 //! One request per line, one response line per request, in order. A
-//! malformed line gets a `rejected` response (with the parse error as
-//! the reason) and the connection stays up — one bad client line must
-//! not take down a batch.
+//! malformed line — invalid JSON, a nesting bomb, bytes that are not
+//! UTF-8 — gets a `rejected` response (with the parse error as the
+//! reason) and the connection stays up: one bad client line must not
+//! take down a batch. Both frontends run every line through the same
+//! step (`parse_line`), so they answer the same bytes the same way.
 //!
-//! Two TCP modes share that protocol:
-//!
-//! * [`serve_tcp`] — one thread per connection, blocking I/O. Simple,
-//!   and fine for a handful of long-lived pipelined clients.
-//! * [`serve_poll`] — **one** frontend thread multiplexing every
-//!   connection with non-blocking sockets and per-connection state
-//!   machines. Requests are submitted as [`Ticket`]s and polled with
-//!   [`Ticket::try_wait`], so a slow mining run never parks the
-//!   frontend; meanwhile the loop enforces the *outer* tiers of the
-//!   admission policy — a connection cap (refused connections get one
-//!   rejection line) and a per-client in-flight quota (excess lines get
-//!   rejection responses) — before the service's own queue-depth and
-//!   Geerts-bound tiers even see the request.
+//! TCP is served by [`serve_poll`]: **one** frontend thread
+//! multiplexing every connection with non-blocking sockets and
+//! per-connection state machines. Requests are submitted as [`Ticket`]s
+//! and polled with [`Ticket::try_wait`], so a slow mining run never
+//! parks the frontend; meanwhile the loop enforces the *outer* tiers of
+//! the admission policy — a connection cap (refused connections get one
+//! rejection line), a per-client in-flight quota (excess lines get
+//! rejection responses) and a line-length cap — before the service's
+//! own queue-depth and Geerts-bound tiers even see the request.
 
-use crate::request::{parse_request, render_response, MineResponse, MineStats};
+use crate::request::{parse_request, render_response, MineRequest, MineResponse, MineStats};
 use crate::service::{MineService, Ticket};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
+
+/// The per-line step both frontends share. `raw` is one wire line, with
+/// or without its `\n` (or `\r\n`) terminator, decoded lossily so no
+/// byte sequence can end a session. Returns `None` for a blank line (no
+/// response is owed), else the parsed request or the `rejected`
+/// response a malformed line gets.
+fn parse_line(raw: &[u8]) -> Option<Result<MineRequest, MineResponse>> {
+    let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+    let line = String::from_utf8_lossy(raw);
+    if line.trim().is_empty() {
+        return None;
+    }
+    Some(
+        parse_request(&line)
+            .map_err(|e| MineResponse::rejected(format!("parse error: {e}"), MineStats::default())),
+    )
+}
 
 /// Drives the line protocol over `input`/`output` until EOF. Each line
 /// is parsed, submitted, and awaited; responses are written in request
@@ -34,55 +50,24 @@ use std::time::Duration;
 /// they land).
 pub fn serve_lines<R: BufRead, W: Write>(
     service: &MineService,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if input.read_until(b'\n', &mut raw)? == 0 {
+            return Ok(());
         }
-        let response = match parse_request(&line) {
-            Ok(request) => service.mine(request),
-            Err(e) => MineResponse::rejected(format!("parse error: {e}"), MineStats::default()),
+        let response = match parse_line(&raw) {
+            None => continue,
+            Some(Ok(request)) => service.mine(request),
+            Some(Err(rejected)) => rejected,
         };
         output.write_all(render_response(&response).as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
     }
-    Ok(())
-}
-
-/// Serves one TCP connection with the line protocol.
-pub fn serve_connection(service: &MineService, stream: TcpStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    serve_lines(service, reader, stream)
-}
-
-/// Accept loop: one thread per connection, all sharing `service` (and
-/// therefore its queue, cache, and metrics). `max_conns` bounds how
-/// many connections are accepted before returning — `None` serves
-/// forever; tests and the CI batch job pass `Some(1)`.
-pub fn serve_tcp(
-    service: &MineService,
-    listener: TcpListener,
-    max_conns: Option<usize>,
-) -> io::Result<()> {
-    std::thread::scope(|scope| {
-        for (accepted, stream) in listener.incoming().enumerate() {
-            let stream = stream?;
-            let service = service.clone();
-            scope.spawn(move || {
-                // Per-connection I/O errors (client hangup) end that
-                // connection only.
-                let _ = serve_connection(&service, stream);
-            });
-            if max_conns.is_some_and(|m| accepted + 1 >= m) {
-                break;
-            }
-        }
-        Ok(())
-    })
 }
 
 /// Binds the line protocol to stdin/stdout: the `fpm-mine serve --stdio`
@@ -322,14 +307,10 @@ fn step_conn(
         }
         // Parse every complete line out of the read buffer.
         while let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-            // Drop the trailing newline the drain kept (position
-            // guarantees it is there; pop is panic-free regardless).
-            line.pop();
-            let line = String::from_utf8_lossy(&line).into_owned();
-            if line.trim().is_empty() {
+            let line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
+            let Some(parsed) = parse_line(&line) else {
                 continue;
-            }
+            };
             progressed = true;
             if conn.inflight() >= cfg.max_inflight_per_conn {
                 stats.quota_rejections += 1;
@@ -342,17 +323,12 @@ fn step_conn(
                 ));
                 continue;
             }
-            match parse_request(&line) {
+            match parsed {
                 Ok(request) => {
                     stats.lines_submitted += 1;
                     conn.pending.push_back(Pending::Waiting(service.submit(request)));
                 }
-                Err(e) => {
-                    conn.queue_response(&MineResponse::rejected(
-                        format!("parse error: {e}"),
-                        MineStats::default(),
-                    ));
-                }
+                Err(rejected) => conn.queue_response(&rejected),
             }
         }
         if conn.rbuf.len() > cfg.max_line_bytes {
@@ -426,15 +402,17 @@ mod tests {
     #[test]
     fn line_protocol_roundtrip() {
         let svc = MineService::start(ServeConfig::default());
-        let input = format!(
+        let mut input = format!(
             "{}\n\n{}\nnot json at all\n",
             toy_line("lcm", ""),
             toy_line("eclat", r#","include_patterns":false"#)
-        );
+        )
+        .into_bytes();
+        input.extend_from_slice(b"\xff\xfe not utf8\n");
         let mut out = Vec::new();
-        serve_lines(&svc, input.as_bytes(), &mut out).unwrap();
+        serve_lines(&svc, input.as_slice(), &mut out).unwrap();
         let lines: Vec<String> = out.lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines.len(), 3, "blank line skipped, bad line answered");
+        assert_eq!(lines.len(), 4, "blank line skipped, bad lines answered");
         let first = crate::json::parse(&lines[0]).unwrap();
         assert_eq!(first.get("outcome").unwrap().as_str(), Some("complete"));
         assert!(first.get("patterns").is_some());
@@ -448,6 +426,8 @@ mod tests {
             .as_str()
             .unwrap()
             .starts_with("parse error"));
+        let fourth = crate::json::parse(&lines[3]).unwrap();
+        assert_eq!(fourth.get("outcome").unwrap().as_str(), Some("rejected"));
         svc.shutdown();
     }
 
@@ -461,29 +441,6 @@ mod tests {
         assert_eq!(text.lines().count(), 1, "{text}");
         assert!(text.contains(r#""outcome":"rejected""#), "{text}");
         assert!(text.contains("nesting deeper than"), "{text}");
-        svc.shutdown();
-    }
-
-    #[test]
-    fn tcp_frontend_answers_a_batch() {
-        let svc = MineService::start(ServeConfig::default());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let svc2 = svc.clone();
-        let server = std::thread::spawn(move || serve_tcp(&svc2, listener, Some(1)));
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let batch = format!("{}\n{}\n", toy_line("lcm", ""), toy_line("fpgrowth", ""));
-        stream.write_all(batch.as_bytes()).unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let reader = std::io::BufReader::new(stream);
-        let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            let v = crate::json::parse(line).unwrap();
-            assert_eq!(v.get("outcome").unwrap().as_str(), Some("complete"));
-        }
-        server.join().unwrap().unwrap();
         svc.shutdown();
     }
 
@@ -504,16 +461,14 @@ mod tests {
             .map(|_| {
                 std::thread::spawn(move || {
                     let mut stream = TcpStream::connect(addr).unwrap();
-                    let batch = format!(
-                        "{}\nnot json\n{}\n",
-                        toy_line("lcm", ""),
-                        toy_line("eclat", "")
-                    );
-                    stream.write_all(batch.as_bytes()).unwrap();
+                    let mut batch = format!("{}\nnot json\n", toy_line("lcm", "")).into_bytes();
+                    batch.extend_from_slice(b"\xff\xfe not utf8\n");
+                    batch.extend_from_slice(format!("{}\n", toy_line("eclat", "")).as_bytes());
+                    stream.write_all(&batch).unwrap();
                     stream.shutdown(std::net::Shutdown::Write).unwrap();
                     let reader = std::io::BufReader::new(stream);
                     let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-                    assert_eq!(lines.len(), 3);
+                    assert_eq!(lines.len(), 4);
                     let outcomes: Vec<String> = lines
                         .iter()
                         .map(|l| {
@@ -528,7 +483,7 @@ mod tests {
                         .collect();
                     assert_eq!(
                         outcomes,
-                        ["complete", "rejected", "complete"],
+                        ["complete", "rejected", "rejected", "complete"],
                         "responses arrive in request order"
                     );
                 })

@@ -25,10 +25,11 @@
 //!   whose search space provably exceeds a ceiling before any work is
 //!   spent;
 //! * three frontends over one request model: the in-process handle
-//!   ([`MineService::mine`] / [`MineService::submit`]), a
-//!   thread-per-connection line-delimited JSON protocol over TCP or
-//!   stdio ([`frontend::serve_tcp`], [`frontend::serve_stdio`]), and a
-//!   single-threaded non-blocking poll loop ([`frontend::serve_poll`]);
+//!   ([`MineService::mine`] / [`MineService::submit`]), the
+//!   line-delimited JSON protocol over stdio
+//!   ([`frontend::serve_stdio`]), and the same protocol over TCP through
+//!   one single-threaded non-blocking poll loop
+//!   ([`frontend::serve_poll`]);
 //! * a deterministic **load generator** ([`loadgen`], `fpm-mine
 //!   loadgen`): a seeded open-loop schedule whose reproducible half is
 //!   committed as `BENCH_serve.json`;
@@ -66,10 +67,7 @@ pub mod request;
 pub mod service;
 
 pub use cache::{fingerprint, Lookup, ResultCache};
-pub use frontend::{
-    serve_connection, serve_lines, serve_poll, serve_stdio, serve_tcp, FrontendConfig,
-    FrontendStats,
-};
+pub use frontend::{serve_lines, serve_poll, serve_stdio, FrontendConfig, FrontendStats};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use request::{
     parse_request, render_response, DatasetSpec, Kernel, MineRequest, MineResponse, MineStats,

@@ -885,12 +885,12 @@ fn count_outcome(m: &MetricSet, outcome: Outcome) {
     });
 }
 
-/// Artifact file stem for a named spec — must agree with
-/// `store::Artifact::stem` so a flush lands where the next warm start
-/// scans.
+/// Registry key for a named spec, e.g. `named-ds1-smoke`. Warm start
+/// and request resolution derive it the same way, so a dataset loaded
+/// from the store keeps its generation and is flushed once (to
+/// `Artifact::path_in`, where the next warm start scans).
 fn named_stem(dataset: &quest::Dataset, scale: &quest::Scale) -> String {
-    // Lowercase to match the wire labels (`ds1`), so the stem equals
-    // what `store::Artifact::stem` derives from the persisted spec.
+    // Lowercase to match the wire labels (`ds1`).
     format!(
         "named-{}-{}",
         dataset.label().to_ascii_lowercase(),
@@ -1003,12 +1003,12 @@ fn flush_store(inner: &Inner) {
     let Some(dir) = inner.cfg.store_dir.as_deref() else {
         return;
     };
-    let reg: Vec<(String, DatasetSpec, u64)> = inner
+    let reg: Vec<(DatasetSpec, u64)> = inner
         .store_reg
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(stem, (spec, generation))| (stem.clone(), spec.clone(), *generation))
+        .values()
+        .cloned()
         .collect();
     if reg.is_empty() {
         return;
@@ -1016,7 +1016,7 @@ fn flush_store(inner: &Inner) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    for (stem, spec, generation) in reg {
+    for (spec, generation) in reg {
         let Ok(db) = resolve_dataset(inner, &spec) else {
             continue;
         };
@@ -1051,8 +1051,7 @@ fn flush_store(inner: &Inner) {
         for (key, patterns) in entries {
             artifact.push_result(key.1, key.2, key.3, (*patterns).clone());
         }
-        let path = dir.join(format!("{}.{}", stem, store::EXTENSION));
-        if artifact.store(&path).is_ok() {
+        if artifact.store(&artifact.path_in(dir)).is_ok() {
             shard.metrics.add("store_flushed_entries", flushed);
         }
     }

@@ -131,11 +131,12 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// FNV-1a over the full transaction content — byte-for-byte the same
-/// function as the serve layer's cache fingerprint, so an artifact's
-/// recorded fingerprint can be cross-checked against the database the
-/// service rebuilds from the raw section. (Covered by a cross-crate
-/// equality test in `fpm-serve`.)
+/// FNV-1a over the full transaction content — shape and items — so two
+/// datasets collide only with 64-bit-hash probability. Deterministic
+/// across runs and platforms. The serve layer keys its result cache with
+/// this same function, so an artifact's recorded fingerprint can be
+/// cross-checked against the database the service rebuilds from the raw
+/// section.
 pub fn fingerprint(db: &TransactionDb) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -1,7 +1,7 @@
 //! Representation lab: the paper's Feature 1/Feature 2 design space
-//! (§3.3) measured live — dense bit matrix vs sparse tid-lists vs
-//! diffsets across inputs of very different density, plus what the
-//! automatic chooser picks.
+//! (§3.3) measured live — dense bit matrix vs diffsets vs hybrid
+//! per-chunk containers across inputs of very different density, plus
+//! what the automatic chooser picks.
 //!
 //! ```sh
 //! cargo run --release --example representation_lab
@@ -35,9 +35,9 @@ fn bench(label: &str, db: &TransactionDb, minsup: u64) {
 
     let t = Instant::now();
     let mut s2 = CountSink::default();
-    let st = tidlist::mine(db, minsup, SparseRepr::TidLists, &mut s2);
+    let st = tidlist::mine(db, minsup, SparseRepr::Diffsets, &mut s2);
     println!(
-        "   tid-lists      {:>8} patterns  {:.3}s  ({} elements moved)",
+        "   diffsets       {:>8} patterns  {:.3}s  ({} elements moved)",
         s2.count,
         t.elapsed().as_secs_f64(),
         st.elements_out
@@ -45,26 +45,15 @@ fn bench(label: &str, db: &TransactionDb, minsup: u64) {
 
     let t = Instant::now();
     let mut s3 = CountSink::default();
-    let st = tidlist::mine(db, minsup, SparseRepr::Diffsets, &mut s3);
-    println!(
-        "   diffsets       {:>8} patterns  {:.3}s  ({} elements moved)",
-        s3.count,
-        t.elapsed().as_secs_f64(),
-        st.elements_out
-    );
-
-    let t = Instant::now();
-    let mut s4 = CountSink::default();
-    let st = tidlist::mine(db, minsup, SparseRepr::Hybrid, &mut s4);
+    let st = tidlist::mine(db, minsup, SparseRepr::Hybrid, &mut s3);
     println!(
         "   hybrid chunks  {:>8} patterns  {:.3}s  ({} elements moved)",
-        s4.count,
+        s3.count,
         t.elapsed().as_secs_f64(),
         st.elements_out
     );
     assert_eq!(s.count, s2.count);
     assert_eq!(s.count, s3.count);
-    assert_eq!(s.count, s4.count);
 
     let chosen = tidlist::mine_auto(db, minsup, &mut CountSink::default());
     println!("   chooser picks: {chosen:?}\n");
@@ -95,10 +84,8 @@ fn main() {
     });
     bench("AP-like (sparse)", &ap, 60);
 
-    println!("Reading: diffsets move the least data on the dense end; plain");
-    println!("tid-lists win once density drops below the bit-per-cell break-even");
-    println!("(~1/32); the chooser flips representation on exactly that boundary.");
-    println!("Hybrid chunks split the same decision per 2^16-tid chunk: u16");
-    println!("arrays where sparse, bitmaps where dense, runs where clustered");
-    println!("(DESIGN.md §16) — same patterns, about half the vertical bytes.");
+    println!("Reading: diffsets move the least data on the dense end; below the");
+    println!("bit-per-cell break-even (~1/32) the chooser flips to hybrid chunks,");
+    println!("which decide per 2^16-tid chunk: u16 arrays where sparse, bitmaps");
+    println!("where dense, runs where clustered (DESIGN.md §16).");
 }

@@ -1,5 +1,6 @@
 //! Service-layer conformance: stopped runs emit serial-order prefixes,
-//! and cache hits are byte-identical to cold runs.
+//! cache hits are byte-identical to cold runs, and every wire line gets
+//! exactly one in-order answer.
 //!
 //! The service's central claim (DESIGN.md §10) is that *every* response
 //! — complete, budget-truncated, cancelled, or deadline-cut — is a
@@ -404,6 +405,87 @@ proptest! {
             prop_assert_eq!(svc.metrics().get("mined_runs"), mined, "hit must not mine");
             prop_assert_eq!(hit.patterns, cold.patterns, "{}", kernel.label());
         }
+        svc.shutdown();
+    }
+}
+
+/// One line of the hostile wire battery: its bytes (no `\n`), and
+/// whether it is a valid request that must complete.
+fn wire_line() -> impl Strategy<Value = (Vec<u8>, bool)> {
+    (
+        0u8..4,
+        prop::collection::vec(any::<u8>(), 0..200),
+        1usize..10_001,
+        prop::collection::vec(prop::collection::btree_set(0u32..8, 1..5), 1..6),
+    )
+        .prop_map(|(kind, bytes, n, rows)| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|row| {
+                    let items: Vec<String> = row.iter().map(u32::to_string).collect();
+                    format!("[{}]", items.join(","))
+                })
+                .collect();
+            let request = |min_support: &str| {
+                format!(
+                    r#"{{"dataset":{{"inline":[{}]}},"kernel":"{}","min_support":{min_support}}}"#,
+                    rows.join(","),
+                    Kernel::ALL[n % Kernel::ALL.len()].label()
+                )
+            };
+            match kind {
+                // Arbitrary bytes: invalid UTF-8, control bytes, junk.
+                0 => (bytes.into_iter().filter(|&b| b != b'\n').collect(), false),
+                // `[` nested up to 10 000 deep, closed or not.
+                1 if n % 2 == 0 => (
+                    format!("{}{}", "[".repeat(n), "]".repeat(n)).into_bytes(),
+                    false,
+                ),
+                1 => ("[".repeat(n).into_bytes(), false),
+                // A 400-digit number where the service expects a u64.
+                2 => {
+                    let digits: String = (0..400)
+                        .map(|i| char::from(b'1' + bytes.get(i).map_or(0, |b| b % 9)))
+                        .collect();
+                    (request(&digits).into_bytes(), false)
+                }
+                _ => (request(&(1 + n % 3).to_string()).into_bytes(), true),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Hostile wire battery: whatever bytes a batch carries, `serve_lines`
+    /// returns `Ok` and answers every non-blank line exactly once, in
+    /// order — valid requests `complete`, everything else `rejected`.
+    #[test]
+    fn every_wire_line_gets_one_in_order_answer(
+        batch in prop::collection::vec(wire_line(), 1..12),
+    ) {
+        let svc = MineService::start(ServeConfig::default());
+        let mut input = Vec::new();
+        let mut want = Vec::new();
+        for (bytes, valid) in &batch {
+            input.extend_from_slice(bytes);
+            input.push(b'\n');
+            if !String::from_utf8_lossy(bytes).trim().is_empty() {
+                want.push(if *valid { "complete" } else { "rejected" });
+            }
+        }
+        let mut out = Vec::new();
+        let served = serve::serve_lines(&svc, input.as_slice(), &mut out);
+        prop_assert!(served.is_ok(), "{:?}", served);
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        let got: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let v = serve::json::parse(line).expect("each response is one JSON line");
+                v.get("outcome").and_then(|o| o.as_str()).unwrap_or("").to_string()
+            })
+            .collect();
+        prop_assert_eq!(got, want);
         svc.shutdown();
     }
 }
