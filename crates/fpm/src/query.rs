@@ -1,7 +1,7 @@
 //! First-class pattern queries: class (all/closed/maximal), top-k by
 //! support, and association-rule thresholds, with a stable canonical
-//! encoding shared by the cache key, the single-flight table, and the
-//! store's on-disk result tags (DESIGN.md §15).
+//! encoding shared by the serve cache key and the store's on-disk
+//! result tags (DESIGN.md §15).
 //!
 //! A [`PatternQuery`] names *which slice* of the frequent set a caller
 //! wants; the executor always mines the complete set first (the prefix
@@ -73,8 +73,7 @@ impl Default for PatternQuery {
 
 /// A `PatternQuery` flattened to hashable/orderable primitives (`f64`
 /// thresholds as IEEE bit patterns): the form that widens the serve
-/// cache key and the single-flight table. Lossless — see
-/// [`PatternQuery::from_key`].
+/// cache key. Lossless — see [`PatternQuery::from_key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryKey {
     /// [`MineKind::code`] of the class.

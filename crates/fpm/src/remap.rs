@@ -64,29 +64,80 @@ impl RankedDb {
     }
 }
 
+/// Item-id arrays (`freq`, `to_rank`) are sized by the largest id only
+/// while that stays within this many ids per item occurrence; past it
+/// the ids are sparse (say one transaction holding item `u32::MAX`) and
+/// a sorted table of the occurring ids takes their place.
+const DENSE_IDS_PER_OCCURRENCE: u64 = 4;
+
 /// Counts item frequencies, drops items with support < `minsup`, and
 /// renumbers the survivors by decreasing frequency (ties broken by
 /// original id, ascending, for determinism).
+///
+/// Memory is bounded by the database, not by its largest item id:
+/// sparse ids are counted through a sorted table, with the same output
+/// as the dense arrays.
 pub fn remap(db: &TransactionDb, minsup: u64) -> RankedDb {
-    let mut freq = vec![0u64; db.n_items()];
-    for t in db.transactions() {
-        for &i in t {
-            freq[i as usize] += 1;
+    let minsup = minsup.max(1);
+    if db.n_items() as u64 <= DENSE_IDS_PER_OCCURRENCE * db.nnz() {
+        let mut freq = vec![0u64; db.n_items()];
+        for t in db.transactions() {
+            for &i in t {
+                freq[i as usize] += 1;
+            }
         }
+        let frequent = by_rank(
+            (0..db.n_items())
+                .filter(|&i| freq[i] >= minsup)
+                .map(|i| (i as Item, freq[i]))
+                .collect(),
+        );
+        let mut to_rank = vec![u32::MAX; db.n_items()];
+        for (rank, &(orig, _)) in frequent.iter().enumerate() {
+            to_rank[orig as usize] = rank as u32;
+        }
+        ranked(db, frequent, move |i| to_rank[i as usize])
+    } else {
+        let mut ids: Vec<Item> = db.transactions().iter().flatten().copied().collect();
+        ids.sort_unstable();
+        let mut counted: Vec<(Item, u64)> = Vec::new();
+        for id in ids {
+            match counted.last_mut() {
+                Some((last, support)) if *last == id => *support += 1,
+                _ => counted.push((id, 1)),
+            }
+        }
+        counted.retain(|&(_, s)| s >= minsup);
+        let frequent = by_rank(counted);
+        let mut to_rank: Vec<(Item, u32)> = frequent
+            .iter()
+            .enumerate()
+            .map(|(rank, &(orig, _))| (orig, rank as u32))
+            .collect();
+        to_rank.sort_unstable();
+        ranked(db, frequent, move |i| {
+            to_rank
+                .binary_search_by_key(&i, |&(orig, _)| orig)
+                .map_or(u32::MAX, |at| to_rank[at].1)
+        })
     }
-    let mut frequent: Vec<Item> = (0..db.n_items() as u32)
-        .filter(|&i| freq[i as usize] >= minsup.max(1))
-        .collect();
-    frequent.sort_by(|&a, &b| {
-        freq[b as usize]
-            .cmp(&freq[a as usize])
-            .then(a.cmp(&b))
-    });
-    let mut to_rank = vec![u32::MAX; db.n_items()];
-    for (rank, &orig) in frequent.iter().enumerate() {
-        to_rank[orig as usize] = rank as u32;
-    }
-    let supports: Vec<u64> = frequent.iter().map(|&i| freq[i as usize]).collect();
+}
+
+/// Sorts `(item, support)` pairs into rank order: decreasing support,
+/// ties by ascending id.
+fn by_rank(mut frequent: Vec<(Item, u64)>) -> Vec<(Item, u64)> {
+    frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    frequent
+}
+
+/// Builds the ranked database from the rank-ordered frequent items and
+/// an id → rank lookup (`u32::MAX` for an infrequent id).
+fn ranked(
+    db: &TransactionDb,
+    frequent: Vec<(Item, u64)>,
+    to_rank: impl Fn(Item) -> u32,
+) -> RankedDb {
+    let (to_orig, supports): (Vec<Item>, Vec<u64>) = frequent.into_iter().unzip();
     let transactions: Vec<Vec<u32>> = db
         .transactions()
         .iter()
@@ -94,7 +145,7 @@ pub fn remap(db: &TransactionDb, minsup: u64) -> RankedDb {
             let mut mapped: Vec<u32> = t
                 .iter()
                 .filter_map(|&i| {
-                    let r = to_rank[i as usize];
+                    let r = to_rank(i);
                     (r != u32::MAX).then_some(r)
                 })
                 .collect();
@@ -108,10 +159,7 @@ pub fn remap(db: &TransactionDb, minsup: u64) -> RankedDb {
         .collect();
     RankedDb {
         transactions,
-        map: RankMap {
-            to_orig: frequent,
-            supports,
-        },
+        map: RankMap { to_orig, supports },
         original_len: db.len(),
     }
 }
@@ -177,6 +225,30 @@ mod tests {
         // item ids 0..6 never occur: only item 7 is ranked
         assert_eq!(r.map.n_ranks(), 1);
         assert_eq!(r.map.original(0), 7);
+    }
+
+    #[test]
+    fn ids_near_u32_max_rank_like_the_unshifted_db() {
+        // Shifted to the top of the id space the database is sparse
+        // (n_items = 2^32 for 17 occurrences): counted through the
+        // sorted table, it must rank exactly like the dense original.
+        let shift = u32::MAX - 5;
+        let shifted = TransactionDb::from_transactions(
+            toy()
+                .transactions()
+                .iter()
+                .map(|t| t.iter().map(|&i| i + shift).collect())
+                .collect(),
+        );
+        assert_eq!(shifted.n_items(), 1 << 32);
+        for minsup in 1..=4 {
+            let (a, b) = (remap(&toy(), minsup), remap(&shifted, minsup));
+            assert_eq!(a.transactions, b.transactions, "minsup={minsup}");
+            assert_eq!(a.map.supports, b.map.supports, "minsup={minsup}");
+            let shifted_ids: Vec<Item> = a.map.to_orig.iter().map(|&i| i + shift).collect();
+            assert_eq!(shifted_ids, b.map.to_orig, "minsup={minsup}");
+            assert_eq!(a.original_len, b.original_len);
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct LoadConfig {
     /// (clamped to `1..=4`). `1` — the default — offers only the
     /// identity query, the pre-query traffic shape; `4` mixes closed,
     /// maximal and top-k requests in, each key × query pair its own
-    /// cache entry.
+    /// cache entry, all derived from the key's one mined All set.
     pub query_mix: usize,
 }
 
@@ -216,7 +216,8 @@ pub struct LoadReport {
     pub coalesced: u64,
     /// Actual kernel executions the run cost the service. With caching
     /// and single-flight absorbing a gentle schedule this equals the
-    /// number of *distinct* keys offered — the tentpole invariant.
+    /// number of *distinct* keys offered, whatever the query mix: every
+    /// query of a key derives from the key's one All-set mine.
     pub mined_runs: u64,
     /// Median submit-to-response latency, microseconds.
     pub p50_us: u64,
@@ -489,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_query_run_mines_once_per_distinct_key_query_pair() {
+    fn mixed_query_run_mines_once_per_distinct_key() {
         let svc = MineService::start(ServeConfig {
             shards: 2,
             workers: 2,
@@ -505,17 +506,17 @@ mod tests {
         assert_eq!(report.requests, schedule(&cfg).len() as u64);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.failed, 0);
-        let distinct: std::collections::BTreeSet<(usize, usize)> =
-            schedule(&cfg).iter().map(|a| (a.key, a.query)).collect();
+        let distinct: std::collections::BTreeSet<usize> =
+            schedule(&cfg).iter().map(|a| a.key).collect();
         assert_eq!(
             report.mined_runs,
             distinct.len() as u64,
-            "cache + single-flight are keyed by the full query tuple"
+            "every query of a key derives from the key's one All-set mine"
         );
         assert_eq!(
             report.requests,
             report.mined_runs + report.cache_hits + report.coalesced,
-            "every request either mined its (key, query) pair once or reused it"
+            "every request either mined its key's All set once or reused it"
         );
     }
 

@@ -62,7 +62,8 @@ pub struct MineRequest {
     /// Which slice of the frequent set to answer with (class, top-k,
     /// rule thresholds — DESIGN.md §15). The default is the identity
     /// (every frequent itemset), which keeps the pre-query wire shape
-    /// valid unchanged. Part of the cache/single-flight key.
+    /// valid unchanged. Part of the cache key; the service mines the
+    /// identity query's All set and derives every other answer from it.
     pub query: PatternQuery,
     /// Wall-clock limit, armed at *submit* time — queue wait counts
     /// against it, as a caller experiences latency.
@@ -154,11 +155,13 @@ pub struct MineStats {
     /// stays [`Outcome::Complete`]: the prefix *is* the answer asked
     /// for).
     pub truncated: bool,
-    /// `true` when the result came from the cache without mining.
+    /// `true` when the result came from the cache without mining: the
+    /// request's own cached answer, or one derived from the cached All
+    /// set of its `(dataset, kernel, min_support)`.
     pub cache_hit: bool,
-    /// `true` when the request attached to another identical in-flight
-    /// request (single-flight) and was answered from that run's result
-    /// without mining itself.
+    /// `true` when the request attached to another in-flight request
+    /// for the same `(dataset, kernel, min_support)` (single-flight) and
+    /// was answered from that run's All set without mining itself.
     pub coalesced: bool,
     /// Milliseconds spent queued before a worker picked the job up.
     pub queue_ms: u64,

@@ -16,32 +16,40 @@
 //!    that tripped while queued (deadline passed, caller cancelled) is
 //!    answered without mining — with an *empty* pattern list, which is
 //!    the correct zero-length prefix of the serial order.
-//! 3. **Cache probe**: complete results are cached per shard by
-//!    `(dataset fingerprint, kernel, min_support, query)` — distinct
-//!    pattern queries (class, top-k, rules — DESIGN.md §15) occupy
-//!    distinct slots; a hit answers from
-//!    memory (budget-limited callers get a prefix of the cached list).
-//!    Every entry is checksum-verified on probe — a corrupted entry is
-//!    dropped and counted (`cache_integrity_failures`), an entry past
-//!    its TTL is dropped and counted (`cache_expired`); **both count as
-//!    misses**, never hits, and the request falls through to mining.
+//! 3. **Cache probe**: answers are cached per shard by
+//!    `(dataset fingerprint, kernel, min_support, query)`. The identity
+//!    slot `(fingerprint, kernel, min_support, QueryKey::default())`
+//!    holds the complete All set; every other pattern query (class,
+//!    top-k, rules — DESIGN.md §15) is **derived** from it with
+//!    [`PatternQuery::apply`](fpm::PatternQuery::apply) and cached
+//!    under its own slot. The request's own slot is probed first; a
+//!    non-identity query that misses there probes the All slot next
+//!    and, on a hit, derives its answer without mining. A hit answers
+//!    from memory (budget-limited callers get a prefix of the answer).
+//!    Every probe is counted and every entry checksum-verified — a
+//!    corrupted entry is dropped and counted
+//!    (`cache_integrity_failures`), an entry past its TTL is dropped
+//!    and counted (`cache_expired`); **both count as misses**, never
+//!    hits, and a request whose probes all miss falls through to mining.
 //! 4. **Admission**: on a miss, the Geerts-style
 //!    [`candidate_bound`](fpm::bound::candidate_bound) is computed from
 //!    shape facts alone; a bound above the configured ceiling rejects
 //!    the request before any mining work is spent.
 //! 5. **Single-flight**: an admitted miss checks the shard's in-flight
-//!    table. If an identical `(fingerprint, kernel, minsup, query)` run
-//!    is already mining, the job *attaches* to it as a follower — no
-//!    second mine — and is answered at fan-out. Otherwise the job
-//!    registers as the **leader** and mines.
-//! 6. **Mine + fan out**: the kernel runs under the leader's control —
-//!    serial, or on the work-stealing runtime when
+//!    table, keyed by the **mine key** (the identity slot). If the
+//!    key's All set is already mining, the job *attaches* to it as a
+//!    follower — whatever its query — and is answered at fan-out.
+//!    Otherwise the job registers as the **leader** and mines.
+//! 6. **Mine + fan out**: the leader mines the All set under its
+//!    control — serial, or on the work-stealing runtime when
 //!    [`ServeConfig::mine_threads`] > 1. A *shareable* result (complete,
-//!    untruncated — [`exec::ExecSummary::shareable`]) is cached and then
-//!    served to every follower, each under its own budget/include
-//!    flags. An unshareable result (cancelled, deadline-cut, failed) is
-//!    honest only for the leader whose control tripped; followers are
-//!    requeued at the front of the shard queue and run on their own.
+//!    untruncated — [`exec::ExecSummary::shareable`]) is cached, and
+//!    the leader and every follower get their own query's answer,
+//!    derived once per distinct query and cached, under their own
+//!    budget/include flags. An unshareable result (cancelled,
+//!    deadline-cut, failed) is honest only for the leader whose control
+//!    tripped; followers are requeued at the front of the shard queue
+//!    and run on their own.
 //!
 //! Every step increments the owning shard's counters
 //! ([`MineService::shard_metrics`]) and nothing else; the service-wide
@@ -67,7 +75,7 @@ use crate::request::{DatasetSpec, Kernel, MineRequest, MineResponse, MineStats, 
 use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
 use fpm::metrics::MetricSet;
-use fpm::{CollectSink, ItemsetCount, QueryKey, TransactionDb};
+use fpm::{CollectSink, ItemsetCount, PatternQuery, QueryKey, TransactionDb};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -180,7 +188,8 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// An in-flight mining run that identical requests attach to.
+/// An in-flight All-set mine that requests for the same mine key
+/// attach to, whatever their query.
 struct Flight {
     followers: Vec<Job>,
 }
@@ -348,7 +357,11 @@ impl MineService {
     /// [`Ticket`]; queue-full and post-shutdown rejections are delivered
     /// through it so callers have one uniform wait path.
     pub fn submit(&self, request: MineRequest) -> Ticket {
-        let control = Arc::new(MineControl::new(request.deadline, request.max_patterns));
+        // Only an identity request's budget is charged by the mine
+        // itself; any other query mines the complete All set and
+        // `serve_full` cuts its derived answer instead.
+        let budget = request.max_patterns.filter(|_| request.query.is_all());
+        let control = Arc::new(MineControl::new(request.deadline, budget));
         let (tx, rx) = mpsc::channel();
         let ticket = Ticket {
             rx,
@@ -420,11 +433,11 @@ impl MineService {
         self.inner.hold.store(hold, Ordering::Relaxed);
     }
 
-    /// Test support: corrupts the cached result for `(spec, kernel,
-    /// min_support)`'s **identity-query** slot in place without
-    /// refreshing its checksum — the chaos harness's stand-in for rot
-    /// between insert and probe. Returns `false` when nothing is cached
-    /// under that key.
+    /// Test support: corrupts the cached All set of `(spec, kernel,
+    /// min_support)` — the identity slot every query derives from — in
+    /// place without refreshing its checksum: the chaos harness's
+    /// stand-in for rot between insert and probe. Returns `false` when
+    /// nothing is cached there.
     #[doc(hidden)]
     pub fn tamper_cached(
         &self,
@@ -433,24 +446,13 @@ impl MineService {
         min_support: u64,
         f: impl FnOnce(&mut Vec<ItemsetCount>),
     ) -> bool {
-        let Ok(db) = resolve_dataset(&self.inner, spec) else {
-            return false;
-        };
-        let key: CacheKey = (fingerprint(&db), kernel.code(), min_support, QueryKey::default());
-        let Some(shard) = self.inner.shards.get(shard_of(spec, self.inner.shards.len())) else {
-            return false;
-        };
-        shard
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .tamper(&key, f)
+        self.with_all_slot(spec, kernel, min_support, |cache, key| cache.tamper(key, f))
     }
 
-    /// Test support: backdates the cached result for `(spec, kernel,
-    /// min_support)`'s **identity-query** slot by `by`, simulating TTL
-    /// passage without sleeping. Returns `false` when nothing is cached
-    /// under that key.
+    /// Test support: backdates the cached All set of `(spec, kernel,
+    /// min_support)` — the identity slot every query derives from — by
+    /// `by`, simulating TTL passage without sleeping. Returns `false`
+    /// when nothing is cached there.
     #[doc(hidden)]
     pub fn age_cached(
         &self,
@@ -459,6 +461,19 @@ impl MineService {
         min_support: u64,
         by: Duration,
     ) -> bool {
+        self.with_all_slot(spec, kernel, min_support, |cache, key| cache.age(key, by))
+    }
+
+    /// Runs `f` on the owning shard's cache and the identity-slot key of
+    /// `(spec, kernel, min_support)`; `false` when the dataset does not
+    /// resolve.
+    fn with_all_slot(
+        &self,
+        spec: &DatasetSpec,
+        kernel: Kernel,
+        min_support: u64,
+        f: impl FnOnce(&mut ResultCache, &CacheKey) -> bool,
+    ) -> bool {
         let Ok(db) = resolve_dataset(&self.inner, spec) else {
             return false;
         };
@@ -466,11 +481,7 @@ impl MineService {
         let Some(shard) = self.inner.shards.get(shard_of(spec, self.inner.shards.len())) else {
             return false;
         };
-        shard
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .age(&key, by)
+        f(&mut shard.cache.lock().unwrap_or_else(|e| e.into_inner()), &key)
     }
 
     /// Stops accepting work, drains the queues, and joins the workers.
@@ -594,8 +605,10 @@ fn worker_loop(inner: &Inner, shard_idx: usize) {
     }
 }
 
-/// Serves `full` (a complete cached or freshly mined result) under one
-/// request's budget and include flags.
+/// Serves `full` (a complete answer to the request's query: cached,
+/// derived, or freshly mined) under one request's budget and include
+/// flags. The budget is a prefix cut of the answer — for a non-identity
+/// query, the same bytes the executor's per-result charging delivers.
 fn serve_full(
     req: &MineRequest,
     full: Arc<Vec<ItemsetCount>>,
@@ -635,6 +648,117 @@ fn tripped_response(req: &MineRequest, cause: Option<StopCause>, stats: MineStat
     }
 }
 
+/// The leader's answer when its All-set mine did not run to the end
+/// (deadline, cancellation, task panic, or an identity request's own
+/// budget): an identity request gets the serial prefix the mine
+/// emitted; any other query gets the empty list, because a prefix of
+/// the All set is not a prefix of the query's answer.
+fn cut_response(
+    req: &MineRequest,
+    emitted: Arc<Vec<ItemsetCount>>,
+    cause: Option<StopCause>,
+    stats: &mut MineStats,
+) -> MineResponse {
+    let outcome = outcome_of(cause);
+    let patterns = if req.query.is_all() { emitted } else { Arc::new(Vec::new()) };
+    stats.truncated = cause == Some(StopCause::BudgetExhausted);
+    stats.emitted = patterns.len() as u64;
+    let reason = (outcome == Outcome::Failed).then(|| {
+        "mining task panicked; patterns are the prefix emitted before the failure".to_string()
+    });
+    MineResponse {
+        outcome,
+        count: patterns.len() as u64,
+        patterns: req.include_patterns.then_some(patterns),
+        reason,
+        stats: *stats,
+    }
+}
+
+/// One request-level cache probe, counted: `cache_probes`, then
+/// `cache_hits` or `cache_misses` — corrupt and expired entries, which
+/// the probe has dropped, are miss subspecies. So `probes = hits +
+/// misses` holds however many slots one request probes.
+fn probe_counted(shard: &Shard, key: &CacheKey) -> Option<Arc<Vec<ItemsetCount>>> {
+    let m = &shard.metrics;
+    m.incr("cache_probes");
+    let looked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(key);
+    match looked {
+        Lookup::Hit(found) => {
+            m.incr("cache_hits");
+            return Some(found);
+        }
+        Lookup::Corrupt => m.incr("cache_integrity_failures"),
+        Lookup::Expired => m.incr("cache_expired"),
+        Lookup::Miss => {}
+    }
+    m.incr("cache_misses");
+    None
+}
+
+/// A complete All set and the query answers derived from it: each
+/// distinct query is derived at most once and cached under its own key.
+struct Derived<'s> {
+    shard: &'s Shard,
+    all: Arc<Vec<ItemsetCount>>,
+    /// The All set's identity-slot key.
+    mine_key: CacheKey,
+    n_transactions: u64,
+    answers: BTreeMap<QueryKey, Arc<Vec<ItemsetCount>>>,
+}
+
+impl<'s> Derived<'s> {
+    fn new(
+        shard: &'s Shard,
+        all: Arc<Vec<ItemsetCount>>,
+        mine_key: CacheKey,
+        n_transactions: u64,
+    ) -> Self {
+        Derived {
+            shard,
+            all,
+            mine_key,
+            n_transactions,
+            answers: BTreeMap::new(),
+        }
+    }
+
+    /// `query`'s complete answer: the All set itself for the identity
+    /// query, otherwise [`PatternQuery::apply`] over it — run outside
+    /// every lock, then cached under one short lock.
+    fn answer(&mut self, query: &PatternQuery) -> Arc<Vec<ItemsetCount>> {
+        if query.is_all() {
+            return Arc::clone(&self.all);
+        }
+        let qk = query.key();
+        if let Some(answer) = self.answers.get(&qk) {
+            return Arc::clone(answer);
+        }
+        let answer = Arc::new(query.apply((*self.all).clone(), self.n_transactions));
+        let (fp, kernel, minsup, _) = self.mine_key;
+        let evicted = self
+            .shard
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert((fp, kernel, minsup, qk), Arc::clone(&answer));
+        self.shard.metrics.add("cache_evictions", evicted);
+        self.answers.insert(qk, Arc::clone(&answer));
+        answer
+    }
+}
+
+/// Removes the flight for `mine_key`, returning its followers.
+fn close_flight(shard: &Shard, mine_key: &CacheKey) -> Vec<Job> {
+    shard
+        .inflight
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .remove(mine_key)
+        .map(|f| f.followers)
+        .unwrap_or_default()
+}
+
 fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
     let m = &shard.metrics;
     let queue_ms = job.submitted.elapsed().as_millis() as u64;
@@ -662,39 +786,35 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
             return;
         }
     };
-    let key: CacheKey = (
-        fingerprint(&db),
-        job.request.kernel.code(),
-        job.request.min_support,
-        job.request.query.key(),
-    );
+    let query = job.request.query;
+    let fp = fingerprint(&db);
+    let (kernel, minsup) = (job.request.kernel.code(), job.request.min_support);
+    // The identity slot holds the complete All set: the unit of mining,
+    // caching and single-flight. Every other query's answer is derived
+    // from it and cached under the request's own key.
+    let mine_key: CacheKey = (fp, kernel, minsup, QueryKey::default());
+    let key: CacheKey = (fp, kernel, minsup, query.key());
+    let n_transactions = db.len() as u64;
 
     // Cache probe before admission: a cached answer is free to serve no
-    // matter how large the search space was. Corrupt and expired
-    // entries have been dropped by the probe; both are misses and the
-    // request falls through to mining.
-    m.incr("cache_probes");
-    let looked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(&key);
-    match looked {
-        Lookup::Hit(full) => {
-            m.incr("cache_hits");
-            stats.cache_hit = true;
-            stats.mine_ms = picked_up.elapsed().as_millis() as u64;
-            let resp = serve_full(&job.request, full, &mut stats);
-            m.add("patterns_emitted", stats.emitted);
-            m.incr("requests_completed");
-            respond(job, resp);
-            return;
-        }
-        Lookup::Corrupt => {
-            m.incr("cache_integrity_failures");
-            m.incr("cache_misses");
-        }
-        Lookup::Expired => {
-            m.incr("cache_expired");
-            m.incr("cache_misses");
-        }
-        Lookup::Miss => m.incr("cache_misses"),
+    // matter how large the search space was. The request's own slot
+    // first; a non-identity query that misses there derives its answer
+    // from the All slot when that hits. Each probe is counted, and a
+    // request whose probes all miss falls through to mining.
+    let cached = match probe_counted(shard, &key) {
+        Some(answer) => Some(answer),
+        None if key != mine_key => probe_counted(shard, &mine_key)
+            .map(|all| Derived::new(shard, all, mine_key, n_transactions).answer(&query)),
+        None => None,
+    };
+    if let Some(answer) = cached {
+        stats.cache_hit = true;
+        stats.mine_ms = picked_up.elapsed().as_millis() as u64;
+        let resp = serve_full(&job.request, answer, &mut stats);
+        m.add("patterns_emitted", stats.emitted);
+        m.incr("requests_completed");
+        respond(job, resp);
+        return;
     }
 
     // Admission control: the Geerts-style bound from shape facts alone.
@@ -719,40 +839,35 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         return;
     }
 
-    // Single-flight: attach to an identical in-flight run, or register
-    // as its leader. Check-and-register is atomic under the inflight
-    // lock, so a key has at most one leader at a time.
+    // Single-flight on the mine key: attach to the in-flight All-set
+    // mine whatever the query, or register as its leader. Check-and-
+    // register is atomic under the inflight lock, so a key has at most
+    // one leader at a time.
     {
         let mut inflight = shard.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(flight) = inflight.get_mut(&key) {
+        if let Some(flight) = inflight.get_mut(&mine_key) {
             m.incr("requests_coalesced");
             flight.followers.push(job);
             return;
         }
-        inflight.insert(key, Flight { followers: Vec::new() });
+        inflight.insert(mine_key, Flight { followers: Vec::new() });
         m.incr("singleflight_leaders");
     }
 
     // Double-check after taking leadership: the previous flight for
-    // this key may have finished — inserting its result and closing —
+    // this key may have finished — inserting its All set and closing —
     // between this request's probe-miss and its registration. Serving
-    // the fresh entry keeps "one mine per key" exact instead of
+    // from the fresh entry keeps "one mine per key" exact instead of
     // best-effort. The access is an internal dedup check, not a
     // request-level probe, so it stays out of the cache_probes
-    // arithmetic (the request already counted its one probe as a miss).
-    let rechecked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(&key);
-    if let Lookup::Hit(full) = rechecked {
-        let followers = shard
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key)
-            .map(|f| f.followers)
-            .unwrap_or_default();
-        fan_out(shard, Some(&full), followers);
+    // arithmetic (the request already counted its probes as misses).
+    let rechecked = shard.cache.lock().unwrap_or_else(|e| e.into_inner()).probe(&mine_key);
+    if let Lookup::Hit(all) = rechecked {
+        let mut derived = Derived::new(shard, all, mine_key, n_transactions);
+        fan_out(shard, Some(&mut derived), close_flight(shard, &mine_key));
         stats.cache_hit = true;
         stats.mine_ms = picked_up.elapsed().as_millis() as u64;
-        let resp = serve_full(&job.request, full, &mut stats);
+        let resp = serve_full(&job.request, derived.answer(&query), &mut stats);
         m.add("patterns_emitted", stats.emitted);
         m.incr("requests_completed");
         respond(job, resp);
@@ -774,59 +889,44 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
     // auto-detection the way `MinePlan::threads(0)` would.
     let summary = MinePlan::kernel(job.request.kernel, job.request.min_support)
         .threads(inner.cfg.mine_threads.max(1))
-        .query(job.request.query)
         .execute_controlled(&db, &job.control, &mut sink);
     stats.mine_ms = picked_up.elapsed().as_millis() as u64;
-    let cause = job.control.stop_cause();
-    let outcome = outcome_of(cause);
-    stats.truncated = cause == Some(StopCause::BudgetExhausted);
-    stats.emitted = sink.patterns.len() as u64;
-    m.add("patterns_emitted", stats.emitted);
-    count_outcome(m, outcome);
 
-    let patterns = Arc::new(sink.patterns);
+    let all = Arc::new(sink.patterns);
     let shareable = summary.shareable();
     if shareable {
         let evicted = shard
             .cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&patterns));
+            .insert(mine_key, Arc::clone(&all));
         m.add("cache_evictions", evicted);
     }
     // Close the flight only after the cache insert: a request probing
     // in between either hits the fresh entry or still finds the flight
     // to attach to — never a gap that would double-mine.
-    let followers = shard
-        .inflight
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&key)
-        .map(|f| f.followers)
-        .unwrap_or_default();
-    fan_out(shard, shareable.then_some(&patterns), followers);
+    let followers = close_flight(shard, &mine_key);
+    let mut derived =
+        shareable.then(|| Derived::new(shard, Arc::clone(&all), mine_key, n_transactions));
+    fan_out(shard, derived.as_mut(), followers);
 
-    let reason = (outcome == Outcome::Failed).then(|| {
-        "mining task panicked; patterns are the prefix emitted before the failure".to_string()
-    });
-    let resp = MineResponse {
-        outcome,
-        count: patterns.len() as u64,
-        patterns: job.request.include_patterns.then_some(patterns),
-        reason,
-        stats,
+    let resp = match derived.as_mut() {
+        Some(derived) => serve_full(&job.request, derived.answer(&query), &mut stats),
+        None => cut_response(&job.request, all, job.control.stop_cause(), &mut stats),
     };
+    m.add("patterns_emitted", stats.emitted);
+    count_outcome(m, resp.outcome);
     respond(job, resp);
 }
 
-/// Answers every follower of a finished flight. With a shareable result
-/// each follower is served from it under its own flags; without one the
-/// followers are requeued at the *front* of the shard queue (they were
-/// submitted before anything now waiting behind them) to mine on their
-/// own controls.
-fn fan_out(shard: &Shard, shared: Option<&Arc<Vec<ItemsetCount>>>, followers: Vec<Job>) {
+/// Answers every follower of a finished flight. With a complete All set
+/// each follower is served its own query's answer under its own flags;
+/// without one the followers are requeued at the *front* of the shard
+/// queue (they were submitted before anything now waiting behind them)
+/// to mine on their own controls.
+fn fan_out(shard: &Shard, derived: Option<&mut Derived<'_>>, followers: Vec<Job>) {
     let m = &shard.metrics;
-    let Some(full) = shared else {
+    let Some(derived) = derived else {
         let n = followers.len() as u64;
         if n > 0 {
             m.add("coalesced_requeued", n);
@@ -856,7 +956,7 @@ fn fan_out(shard: &Shard, shared: Option<&Arc<Vec<ItemsetCount>>>, followers: Ve
             respond(job, resp);
             continue;
         }
-        let resp = serve_full(&job.request, Arc::clone(full), &mut stats);
+        let resp = serve_full(&job.request, derived.answer(&job.request.query), &mut stats);
         m.add("patterns_emitted", stats.emitted);
         m.incr("requests_completed");
         respond(job, resp);
@@ -1481,6 +1581,17 @@ mod tests {
         svc.shutdown();
     }
 
+    /// The plan's answer to `query`, the reference every served answer
+    /// must equal.
+    fn plan_answer(query: PatternQuery) -> Vec<ItemsetCount> {
+        let mut sink = CollectSink::default();
+        let summary = MinePlan::kernel(Kernel::Lcm, 2)
+            .query(query)
+            .execute(&toy_spec().resolve().unwrap(), &mut sink);
+        assert!(summary.complete);
+        sink.patterns
+    }
+
     #[test]
     fn query_requests_answer_like_the_plan_and_cache_separately() {
         let svc = MineService::start(ServeConfig::default());
@@ -1492,42 +1603,41 @@ mod tests {
             PatternQuery::class(MineKind::Closed)
                 .rules(RuleSpec { min_confidence: 0.6, min_lift: 0.0 }),
         ];
-        let db = toy_spec().resolve().unwrap();
         for q in queries {
             let req = MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(q);
             let resp = svc.mine(req);
             assert_eq!(resp.outcome, Outcome::Complete, "{}", q.label());
-            let mut sink = CollectSink::default();
-            let summary = MinePlan::kernel(Kernel::Lcm, 2)
-                .query(q)
-                .execute(&db, &mut sink);
-            assert!(summary.complete);
             assert_eq!(
                 *resp.patterns.expect("patterns included"),
-                sink.patterns,
+                plan_answer(q),
                 "{}",
                 q.label()
             );
         }
-        // Five distinct queries at one (dataset, kernel, minsup): five
-        // distinct cache slots, five mines, zero cross-query hits.
+        // Five distinct queries at one (dataset, kernel, minsup): one
+        // mine for the identity query's All set; the other four answers
+        // are derived from it, each a hit on the All slot.
         let m = svc.metrics();
-        assert_eq!(m.get("mined_runs"), queries.len() as u64);
-        assert_eq!(m.get("cache_hits"), 0);
-        // Re-asking each query now hits its own slot.
+        assert_eq!(m.get("mined_runs"), 1);
+        assert_eq!(m.get("cache_hits"), queries.len() as u64 - 1);
+        // Re-asking each query now hits its own slot: one probe each.
+        let (probes, hits) = (m.get("cache_probes"), m.get("cache_hits"));
         for q in queries {
             let resp = svc.mine(MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(q));
             assert!(resp.stats.cache_hit, "{}", q.label());
         }
-        assert_eq!(svc.metrics().get("mined_runs"), queries.len() as u64, "no re-mining");
+        let m = svc.metrics();
+        assert_eq!(m.get("cache_probes"), probes + queries.len() as u64);
+        assert_eq!(m.get("cache_hits"), hits + queries.len() as u64);
+        assert_eq!(m.get("mined_runs"), 1, "no re-mining");
         svc.shutdown();
     }
 
     #[test]
-    fn coalescing_is_query_keyed() {
-        // Identical (dataset, kernel, minsup) but a different query must
-        // NOT attach to the in-flight identity run — it is a different
-        // answer. Same query does attach.
+    fn coalescing_is_mine_keyed() {
+        // Identical (dataset, kernel, minsup) but a different query
+        // attaches to the in-flight identity run: one All set answers
+        // both, each with its own query's answer.
         let svc = MineService::start(ServeConfig {
             shards: 1,
             workers: 3,
@@ -1536,23 +1646,102 @@ mod tests {
         svc.hold_mining(true);
         let leader = svc.submit(MineRequest::new(toy_spec(), Kernel::Lcm, 2));
         wait_for(&svc, "singleflight_leaders", 1);
-        let same = svc.submit(MineRequest::new(toy_spec(), Kernel::Lcm, 2));
+        let closed_query = PatternQuery::class(MineKind::Closed);
+        let closed =
+            svc.submit(MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(closed_query));
         wait_for(&svc, "requests_coalesced", 1);
-        let closed = svc.submit(
-            MineRequest::new(toy_spec(), Kernel::Lcm, 2)
-                .with_query(PatternQuery::class(MineKind::Closed)),
-        );
-        // The closed-query request leads its own flight instead.
-        wait_for(&svc, "singleflight_leaders", 2);
         svc.hold_mining(false);
         let lead_resp = leader.wait();
-        let same_resp = same.wait();
         let closed_resp = closed.wait();
-        assert!(same_resp.stats.coalesced);
-        assert_eq!(same_resp.patterns, lead_resp.patterns);
-        assert!(!closed_resp.stats.coalesced, "distinct query, distinct flight");
+        assert!(closed_resp.stats.coalesced, "the closed request attached to the flight");
+        assert_eq!(*closed_resp.patterns.clone().unwrap(), plan_answer(closed_query));
         assert_ne!(closed_resp.patterns, lead_resp.patterns);
-        assert_eq!(svc.metrics().get("mined_runs"), 2);
+        let m = svc.metrics();
+        assert_eq!(m.get("mined_runs"), 1);
+        assert_eq!(m.get("singleflight_leaders"), 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn poisoned_all_slot_is_never_derived_from() {
+        let svc = MineService::start(ServeConfig::default());
+        let all = svc.mine(MineRequest::new(toy_spec(), Kernel::Lcm, 2));
+        assert_eq!(all.outcome, Outcome::Complete);
+        assert!(svc.tamper_cached(&toy_spec(), Kernel::Lcm, 2, |p| p[0].support ^= 1));
+        let closed_query = PatternQuery::class(MineKind::Closed);
+        let closed =
+            svc.mine(MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(closed_query));
+        assert_eq!(closed.outcome, Outcome::Complete);
+        assert!(!closed.stats.cache_hit, "a poisoned All set must not serve a derivation");
+        assert_eq!(*closed.patterns.unwrap(), plan_answer(closed_query));
+        let m = svc.metrics();
+        // Probes: the identity request's own slot, then the closed
+        // request's own slot and the (poisoned) All slot.
+        assert_eq!(m.get("cache_probes"), 3);
+        assert_eq!(m.get("cache_hits"), 0);
+        assert_eq!(m.get("cache_misses"), 3);
+        assert_eq!(m.get("cache_integrity_failures"), 1);
+        assert_eq!(m.get("mined_runs"), 2, "the closed request re-mined the All set");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn both_slots_expiring_count_as_two_misses() {
+        let svc = MineService::start(ServeConfig {
+            cache_ttl: Some(Duration::from_millis(300)),
+            ..ServeConfig::default()
+        });
+        let closed_query = PatternQuery::class(MineKind::Closed);
+        let req = || MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(closed_query);
+        assert_eq!(svc.mine(req()).outcome, Outcome::Complete);
+        std::thread::sleep(Duration::from_millis(350));
+        let again = svc.mine(req());
+        assert!(!again.stats.cache_hit);
+        assert_eq!(*again.patterns.unwrap(), plan_answer(closed_query));
+        let m = svc.metrics();
+        assert_eq!(m.get("cache_expired"), 2, "the closed slot and the All slot expired");
+        assert_eq!(m.get("cache_probes"), 4);
+        assert_eq!(m.get("cache_hits"), 0);
+        assert_eq!(m.get("cache_misses"), 4);
+        assert_eq!(m.get("mined_runs"), 2);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn non_identity_budget_cuts_the_derived_answer() {
+        let svc = MineService::start(ServeConfig::default());
+        let closed_query = PatternQuery::class(MineKind::Closed);
+        let closed = plan_answer(closed_query);
+        assert!(closed.len() > 2);
+        let mut limited = MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(closed_query);
+        limited.max_patterns = Some(2);
+        let resp = svc.mine(limited);
+        assert_eq!(resp.outcome, Outcome::Complete);
+        assert!(resp.stats.truncated);
+        assert_eq!(resp.count, 2);
+        assert_eq!(*resp.patterns.unwrap(), closed[..2]);
+        // The full answer was cached, not dropped as unshareable.
+        let full = svc.mine(MineRequest::new(toy_spec(), Kernel::Lcm, 2).with_query(closed_query));
+        assert!(full.stats.cache_hit);
+        assert!(!full.stats.truncated);
+        assert_eq!(*full.patterns.unwrap(), closed);
+        assert_eq!(svc.metrics().get("mined_runs"), 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn the_largest_item_id_is_mined_not_allocated_for() {
+        let svc = MineService::start(ServeConfig::default());
+        let line = r#"{"dataset":{"inline":[[4294967295]]},"kernel":"lcm","min_support":1}"#;
+        let mut out = Vec::new();
+        crate::serve_lines(&svc, format!("{line}\n").as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains(r#""outcome":"complete""#), "{text}");
+        assert!(
+            text.contains(r#""patterns":[{"items":[4294967295],"support":1}]"#),
+            "{text}"
+        );
         svc.shutdown();
     }
 

@@ -1,5 +1,6 @@
 //! Service-layer conformance: stopped runs emit serial-order prefixes,
-//! cache hits are byte-identical to cold runs, and every wire line gets
+//! cache hits are byte-identical to cold runs, every query of a key is
+//! derived from one mine, and every wire line — over stdio or TCP — gets
 //! exactly one in-order answer.
 //!
 //! The service's central claim (DESIGN.md §10) is that *every* response
@@ -13,10 +14,14 @@
 use chaos::goldens::{self, GoldenCase, PREFIX_LINES};
 use exec::MinePlan;
 use fpm::control::MineControl;
-use fpm::{CollectSink, ItemsetCount, PatternSink, RecordSink, TransactionDb};
+use fpm::{
+    CollectSink, ItemsetCount, PatternQuery, PatternSink, RecordSink, RuleSpec, TransactionDb,
+};
 use par::ParConfig;
 use proptest::prelude::*;
-use serve::{DatasetSpec, Kernel, MineRequest, MineService, Outcome, ServeConfig};
+use serve::{DatasetSpec, FrontendConfig, Kernel, MineRequest, MineService, Outcome, ServeConfig};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 
 fn toy() -> TransactionDb {
     TransactionDb::from_transactions(vec![
@@ -409,6 +414,107 @@ proptest! {
     }
 }
 
+/// The five queries a perfbench query session asks of every key: the
+/// loadgen palette (all, closed, maximal, top-32) and rules at
+/// confidence 0.9.
+fn session_queries() -> Vec<PatternQuery> {
+    let mut queries = serve::loadgen::query_palette().to_vec();
+    queries.push(PatternQuery::all().rules(RuleSpec::confidence(0.9)));
+    queries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Serve mines one All set per `(dataset, kernel, minsup)` and
+    /// derives every query's answer from it: asked one after another in
+    /// any order, or submitted together onto one flight, the five
+    /// session queries cost one mine and answer byte-identically to the
+    /// plan's own query path.
+    #[test]
+    fn every_query_of_a_key_derives_from_one_mine(
+        rows in prop::collection::vec(
+            prop::collection::btree_set(0u32..10, 0..6)
+                .prop_map(|s| s.into_iter().collect::<Vec<u32>>()),
+            1..25),
+        minsup in 1u64..4,
+        kernel in 0usize..3,
+        order in prop::collection::vec(any::<u64>(), 5..6),
+    ) {
+        let kernel = Kernel::ALL[kernel];
+        let queries = session_queries();
+        // A random permutation: the query indices sorted by random keys.
+        let mut perm: Vec<usize> = (0..queries.len()).collect();
+        perm.sort_by_key(|&i| order[i]);
+        let db = TransactionDb::from_transactions(rows.clone());
+        let want: Vec<Vec<u8>> = queries
+            .iter()
+            .map(|&q| {
+                let mut sink = RecordSink::default();
+                MinePlan::kernel(kernel, minsup).query(q).threads(1).execute(&db, &mut sink);
+                sink.bytes
+            })
+            .collect();
+        let req = |i: usize| {
+            MineRequest::new(DatasetSpec::Inline(rows.clone()), kernel, minsup)
+                .with_query(queries[i])
+        };
+        for mine_threads in [1usize, 2] {
+            let cfg = ServeConfig {
+                workers: 2,
+                mine_threads,
+                ..ServeConfig::default()
+            };
+            let label = format!("{} mine_threads={mine_threads}", kernel.label());
+
+            // One after another: the first query mines, the rest derive.
+            let svc = MineService::start(cfg.clone());
+            for &i in &perm {
+                let resp = svc.mine(req(i));
+                prop_assert_eq!(resp.outcome, Outcome::Complete);
+                prop_assert_eq!(
+                    render(resp.patterns.as_ref().expect("patterns included")),
+                    want[i].clone(),
+                    "{} {}", label, queries[i].label()
+                );
+            }
+            prop_assert_eq!(svc.metrics().get("mined_runs"), 1, "{}", label);
+            svc.shutdown();
+
+            // Submitted together: one leader mines, four followers
+            // attach to its flight and get their own query's answer.
+            let svc = MineService::start(cfg);
+            svc.hold_mining(true);
+            let leader = svc.submit(req(perm[0]));
+            wait_for_counter(&svc, "singleflight_leaders", 1);
+            let followers: Vec<_> = perm[1..].iter().map(|&i| svc.submit(req(i))).collect();
+            wait_for_counter(&svc, "requests_coalesced", (perm.len() - 1) as u64);
+            svc.hold_mining(false);
+            let mut tickets = vec![leader];
+            tickets.extend(followers);
+            for (&i, ticket) in perm.iter().zip(tickets) {
+                let resp = ticket.wait();
+                prop_assert_eq!(resp.outcome, Outcome::Complete);
+                prop_assert_eq!(
+                    render(resp.patterns.as_ref().expect("patterns included")),
+                    want[i].clone(),
+                    "{} {} (coalesced)", label, queries[i].label()
+                );
+            }
+            let m = svc.metrics();
+            prop_assert_eq!(m.get("mined_runs"), 1, "{}", label);
+            prop_assert_eq!(m.get("coalesced_served"), (perm.len() - 1) as u64, "{}", label);
+            svc.shutdown();
+        }
+    }
+}
+
+/// An item id for a valid wire request: mostly small, so rows share
+/// items and mine something; one in four from the full `u32` range.
+fn item_id() -> impl Strategy<Value = u32> {
+    (0u32..8, any::<u32>(), 0u8..4).prop_map(|(small, id, pick)| if pick == 0 { id } else { small })
+}
+
 /// One line of the hostile wire battery: its bytes (no `\n`), and
 /// whether it is a valid request that must complete.
 fn wire_line() -> impl Strategy<Value = (Vec<u8>, bool)> {
@@ -416,7 +522,7 @@ fn wire_line() -> impl Strategy<Value = (Vec<u8>, bool)> {
         0u8..4,
         prop::collection::vec(any::<u8>(), 0..200),
         1usize..10_001,
-        prop::collection::vec(prop::collection::btree_set(0u32..8, 1..5), 1..6),
+        prop::collection::vec(prop::collection::btree_set(item_id(), 1..5), 1..6),
     )
         .prop_map(|(kind, bytes, n, rows)| {
             let rows: Vec<String> = rows
@@ -454,6 +560,31 @@ fn wire_line() -> impl Strategy<Value = (Vec<u8>, bool)> {
         })
 }
 
+/// A wire battery as one input stream, and the outcome owed to each of
+/// its non-blank lines, in order.
+fn wire_batch(batch: &[(Vec<u8>, bool)]) -> (Vec<u8>, Vec<&'static str>) {
+    let mut input = Vec::new();
+    let mut want = Vec::new();
+    for (bytes, valid) in batch {
+        input.extend_from_slice(bytes);
+        input.push(b'\n');
+        if !String::from_utf8_lossy(bytes).trim().is_empty() {
+            want.push(if *valid { "complete" } else { "rejected" });
+        }
+    }
+    (input, want)
+}
+
+/// The outcome of every response line in `text`.
+fn outcomes(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|line| {
+            let v = serve::json::parse(line).expect("each response is one JSON line");
+            v.get("outcome").and_then(|o| o.as_str()).unwrap_or("").to_string()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -465,27 +596,61 @@ proptest! {
         batch in prop::collection::vec(wire_line(), 1..12),
     ) {
         let svc = MineService::start(ServeConfig::default());
-        let mut input = Vec::new();
-        let mut want = Vec::new();
-        for (bytes, valid) in &batch {
-            input.extend_from_slice(bytes);
-            input.push(b'\n');
-            if !String::from_utf8_lossy(bytes).trim().is_empty() {
-                want.push(if *valid { "complete" } else { "rejected" });
-            }
-        }
+        let (input, want) = wire_batch(&batch);
         let mut out = Vec::new();
         let served = serve::serve_lines(&svc, input.as_slice(), &mut out);
         prop_assert!(served.is_ok(), "{:?}", served);
         let text = String::from_utf8(out).expect("responses are UTF-8");
-        let got: Vec<String> = text
-            .lines()
-            .map(|line| {
-                let v = serve::json::parse(line).expect("each response is one JSON line");
-                v.get("outcome").and_then(|o| o.as_str()).unwrap_or("").to_string()
-            })
-            .collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(outcomes(&text), want);
+        svc.shutdown();
+    }
+
+    /// The same battery over TCP through the poll frontend on loopback:
+    /// one in-order answer per non-blank line, while a second connection
+    /// whose line outgrows `max_line_bytes` gets one `rejected` line and
+    /// is closed.
+    #[test]
+    fn every_wire_line_gets_one_in_order_answer_over_tcp(
+        batch in prop::collection::vec(wire_line(), 1..12),
+    ) {
+        let svc = MineService::start(ServeConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("listener address");
+        // Above the battery's longest line (20 000 nested brackets).
+        let cfg = FrontendConfig {
+            max_line_bytes: 1 << 16,
+            ..FrontendConfig::default()
+        };
+        let server = {
+            let svc = svc.clone();
+            std::thread::spawn(move || serve::serve_poll(&svc, listener, cfg, Some(2)))
+        };
+        // A valid request padded past the cap, sent without its newline:
+        // the cap trips only once every byte sent has been read, so the
+        // frontend's close is orderly and the rejection arrives intact.
+        let oversized = std::thread::spawn(move || -> std::io::Result<String> {
+            let mut line =
+                br#"{"dataset":{"inline":[[1,2],[2]]},"kernel":"lcm","min_support":1}"#.to_vec();
+            line.resize(cfg.max_line_bytes + 1, b' ');
+            let mut stream = TcpStream::connect(addr)?;
+            stream.write_all(&line)?;
+            let mut text = String::new();
+            stream.read_to_string(&mut text)?;
+            Ok(text)
+        });
+        let (input, want) = wire_batch(&batch);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&input).expect("send the batch");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("read the answers");
+        prop_assert_eq!(outcomes(&text), want);
+
+        let refused = oversized.join().expect("oversized client").expect("oversized client io");
+        prop_assert_eq!(outcomes(&refused), vec!["rejected".to_string()]);
+        prop_assert!(refused.contains("exceeds"), "{}", refused);
+        let stats = server.join().expect("frontend thread").expect("serve_poll");
+        prop_assert_eq!(stats.connections_served, 2);
         svc.shutdown();
     }
 }
