@@ -328,7 +328,7 @@ fn serve_phase(case: &Case) {
             &DATASET.label().to_ascii_lowercase(),
             SCALE.label(),
         );
-        let mut artifact = store::Artifact::build(meta, dataset(), minsup);
+        let mut artifact = store::Artifact::build(meta, dataset());
         let mut sink = fpm::CollectSink::default();
         MinePlan::kernel(case.kernel, minsup)
             .query(case.query)

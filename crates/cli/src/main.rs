@@ -101,7 +101,7 @@ fn parse_args() -> Args {
                 a.dataset = Some(Dataset::by_label(&value(&mut i)).unwrap_or_else(|| usage()))
             }
             "--scale" => a.scale = Scale::by_label(&value(&mut i)).unwrap_or_else(|| usage()),
-            "--minsup" => a.minsup = value(&mut i).parse().ok(),
+            "--minsup" => a.minsup = value(&mut i).parse().ok().or_else(|| usage()),
             "--kernel" => a.kernel = value(&mut i),
             "--variant" => a.variant = value(&mut i),
             "--out" => a.out = Some(value(&mut i)),
@@ -266,7 +266,7 @@ fn run_rules(argv: &[String]) -> ExitCode {
                 dataset = Some(Dataset::by_label(&value(&mut i)).unwrap_or_else(|| rules_usage()))
             }
             "--scale" => scale = Scale::by_label(&value(&mut i)).unwrap_or_else(|| rules_usage()),
-            "--minsup" => minsup = value(&mut i).parse().ok(),
+            "--minsup" => minsup = value(&mut i).parse().ok().or_else(|| rules_usage()),
             "--kernel" => kernel = value(&mut i),
             "--min-confidence" => {
                 let c: f64 = value(&mut i).parse().unwrap_or_else(|_| rules_usage());
@@ -616,11 +616,11 @@ fn store_usage() -> ! {
        fpm-mine store verify  --dir DIR
        fpm-mine store append  --dir DIR --name STEM (--tx \"1 2 3\")... [--file FILE.dat]
 
-  build    generates the dataset, prepares the remapped DB, bit-matrix and
-           FP-tree at --minsup (default: the scaled Table 6 support), mines
-           each kernel in --kernels (default lcm) and writes the artifact
-           atomically as DIR/named-<ds>-<scale>.fpa — `serve --store-dir DIR`
-           then answers those requests from the store without re-mining
+  build    generates the dataset, mines each kernel in --kernels (default
+           lcm) at --minsup (default: the scaled Table 6 support) and writes
+           the raw transactions and results atomically as
+           DIR/named-<ds>-<scale>.fpa — `serve --store-dir DIR` then answers
+           those requests from the store without re-mining
   inspect  prints each artifact's identity, generation and cached results,
            each result entry tagged with its pattern query and generation;
            --format json emits one JSON object per artifact for scripting
@@ -670,7 +670,7 @@ fn parse_store_args(argv: &[String]) -> StoreArgs {
                 a.dataset = Some(Dataset::by_label(&value(&mut i)).unwrap_or_else(|| store_usage()))
             }
             "--scale" => a.scale = Scale::by_label(&value(&mut i)).unwrap_or_else(|| store_usage()),
-            "--minsup" => a.minsup = value(&mut i).parse().ok(),
+            "--minsup" => a.minsup = value(&mut i).parse().ok().or_else(|| store_usage()),
             "--kernels" => {
                 a.kernels = value(&mut i).split(',').map(str::to_string).collect()
             }
@@ -707,7 +707,7 @@ fn store_build(a: &StoreArgs) -> ExitCode {
     let db = ds.generate(a.scale);
     let minsup = a.minsup.unwrap_or_else(|| ds.support(a.scale));
     let spec = store::SpecMeta::named(&ds.label().to_ascii_lowercase(), a.scale.label());
-    let mut artifact = store::Artifact::build(spec, &db, minsup);
+    let mut artifact = store::Artifact::build(spec, &db);
     for label in &a.kernels {
         let Some(kernel) = fpm::Kernel::by_label(label) else {
             eprintln!("unknown kernel {label}");
@@ -828,7 +828,7 @@ fn store_inspect(a: &StoreArgs) -> ExitCode {
             println!(
                 "{{\"path\":{:?},\"kind\":\"{}\",\"dataset\":{:?},\"scale\":{:?},\
                  \"generation\":{},\"fingerprint\":\"{:016x}\",\"raw_rows\":{},\
-                 \"frequent_items\":{},\"prepared_minsup\":{},\"results\":[{}]}}",
+                 \"results\":[{}]}}",
                 path.display().to_string(),
                 art.spec.kind.label(),
                 art.spec.dataset,
@@ -836,15 +836,12 @@ fn store_inspect(a: &StoreArgs) -> ExitCode {
                 art.generation,
                 art.fingerprint,
                 art.raw.len(),
-                art.ranked.to_orig.len(),
-                art.prepared_minsup,
                 results.join(",")
             );
             continue;
         }
         println!(
-            "{}: {} {}{}{} gen {} fp {:016x} | {} raw rows, {} frequent items, \
-             prepared minsup {} | {} result(s), {} live",
+            "{}: {} {}{}{} gen {} fp {:016x} | {} raw rows | {} result(s), {} live",
             path.display(),
             art.spec.kind.label(),
             art.spec.dataset,
@@ -853,8 +850,6 @@ fn store_inspect(a: &StoreArgs) -> ExitCode {
             art.generation,
             art.fingerprint,
             art.raw.len(),
-            art.ranked.to_orig.len(),
-            art.prepared_minsup,
             art.results.len(),
             art.live_results().count(),
         );
@@ -942,14 +937,9 @@ fn store_append(a: &StoreArgs) -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "appended {} row(s) to {} ({}), now generation {}; {} cached result(s) invalidated",
+        "appended {} row(s) to {}, now generation {}; {} cached result(s) invalidated",
         report.appended_rows,
         path.display(),
-        if report.incremental {
-            "incremental patch"
-        } else {
-            "order changed, prepared sections rebuilt"
-        },
         report.generation,
         report.invalidated_results,
     );

@@ -130,6 +130,17 @@ fn bad_arguments_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no variant"));
+    // An unparsable --minsup is a usage error, not the default support.
+    let dir = std::env::temp_dir().join("fpm_cli_tests/bad-minsup-store");
+    let dir = dir.to_str().unwrap();
+    for args in [
+        &["--dataset", "ds3", "--scale", "smoke", "--minsup", "abc", "--count-only"][..],
+        &["rules", "--dataset", "ds3", "--scale", "smoke", "--minsup", "abc"],
+        &["store", "build", "--dir", dir, "--dataset", "ds3", "--minsup", "abc"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]
@@ -166,4 +177,28 @@ fn out_file_roundtrip() {
     assert!(out.status.success());
     let written = std::fs::read_to_string(&out_path).unwrap();
     assert_eq!(written, "1 (2)\n1 2 (2)\n2 (2)\n");
+}
+
+#[test]
+fn store_append_takes_any_item_id() {
+    let dir = std::env::temp_dir().join(format!("fpm_cli_store_append_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let build = bin()
+        .args(["store", "build", "--dir", dir_arg, "--dataset", "ds3", "--scale", "smoke"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&build.stderr);
+    assert!(build.status.success(), "{stderr}");
+    assert!(stderr.contains("lcm: 119 patterns"), "{stderr}");
+    let append = bin()
+        .args([
+            "store", "append", "--dir", dir_arg, "--name", "named-ds3-smoke", "--tx", "4294967295",
+        ])
+        .output()
+        .unwrap();
+    assert!(append.status.success(), "{}", String::from_utf8_lossy(&append.stderr));
+    let verify = bin().args(["store", "verify", "--dir", dir_arg]).output().unwrap();
+    assert!(verify.status.success(), "{}", String::from_utf8_lossy(&verify.stdout));
+    let _ = std::fs::remove_dir_all(&dir);
 }

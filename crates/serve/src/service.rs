@@ -508,19 +508,25 @@ impl MineService {
     }
 }
 
+/// The FNV-1a offset basis: the state [`fnv1a`] starts from.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
 /// FNV-1a over the dataset spec's identity — cheap (no dataset
 /// resolution) and deterministic, so the same spec always routes to the
 /// same shard in every process.
 fn spec_hash(spec: &DatasetSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat_bytes = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat_bytes = |bytes: &[u8]| h = fnv1a(h, bytes);
     match spec {
         DatasetSpec::Inline(rows) => {
             eat_bytes(b"inline");
@@ -1002,15 +1008,8 @@ fn named_stem(dataset: &quest::Dataset, scale: &quest::Scale) -> String {
 /// (its spec — and therefore its routing shard — is unreadable): hash
 /// the file stem the same FNV-then-mix way specs are routed.
 fn stem_shard(path: &Path, shards: usize) -> usize {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-    for &b in stem.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    (fpm::faults::mix(h) % shards.max(1) as u64) as usize
+    (fpm::faults::mix(fnv1a(FNV_OFFSET, stem.as_bytes())) % shards.max(1) as u64) as usize
 }
 
 /// Boot-time warm start: scan `dir`, and for every artifact that loads
@@ -1059,8 +1058,7 @@ fn warm_start(inner: &Inner, dir: &Path) {
             m.incr("store_integrity_failures");
             continue;
         }
-        // Register the dataset: the first request skips generation —
-        // the boot-time "skip prepare" of the tentpole.
+        // Register the dataset: the first request skips generation.
         inner
             .datasets
             .lock()
@@ -1080,10 +1078,9 @@ fn warm_start(inner: &Inner, dir: &Path) {
         {
             let mut cache = shard.cache.lock().unwrap_or_else(|e| e.into_inner());
             for entry in artifact.live_results() {
-                // A v2 artifact with an unknown (future) query class
-                // code cannot appear here — the store decoder validates
-                // the tag — so the key can carry the entry's query
-                // verbatim; v1 entries carry the identity key.
+                // An unknown (future) query class code cannot appear
+                // here — the store decoder validates the tag — so the
+                // key can carry the entry's query verbatim.
                 let key: CacheKey =
                     (artifact.fingerprint, entry.kernel, entry.min_support, entry.query);
                 evicted += cache.insert(key, Arc::new(entry.patterns.clone()));
@@ -1096,9 +1093,9 @@ fn warm_start(inner: &Inner, dir: &Path) {
 }
 
 /// Shutdown flush: persist each registered dataset's cached complete
-/// results (plus freshly built prepared sections) back to the store,
-/// atomically, one artifact per dataset. Datasets with nothing cached
-/// are skipped — `store build` covers the results-free case.
+/// results back to the store, atomically, one artifact per dataset.
+/// Datasets with nothing cached are skipped — `store build` covers the
+/// results-free case.
 fn flush_store(inner: &Inner) {
     let Some(dir) = inner.cfg.store_dir.as_deref() else {
         return;
@@ -1142,10 +1139,7 @@ fn flush_store(inner: &Inner) {
             }
             _ => continue,
         };
-        // Prepare at the smallest cached minsup: every cached result's
-        // frequent items survive that border.
-        let minsup = entries.iter().map(|(k, _)| k.2).min().unwrap_or(1);
-        let mut artifact = store::Artifact::build(spec_meta, &db, minsup);
+        let mut artifact = store::Artifact::build(spec_meta, &db);
         artifact.generation = generation;
         let flushed = entries.len() as u64;
         for (key, patterns) in entries {
@@ -1501,6 +1495,41 @@ mod tests {
             "32 distinct datasets must spread over more than one shard: {first:?}"
         );
         svc.shutdown();
+    }
+
+    #[test]
+    fn routing_hashes_are_pinned() {
+        // Routing must be bit-identical across releases: a warm start
+        // seeds the shard a spec routes to, and a failed load is charged
+        // to the shard its file stem hashes to.
+        let named = |dataset, scale| DatasetSpec::Named { dataset, scale };
+        let specs = [
+            named(quest::Dataset::Ds1, quest::Scale::Smoke),
+            named(quest::Dataset::Ds3, quest::Scale::Ci),
+            named(quest::Dataset::Ds4, quest::Scale::Full),
+            DatasetSpec::Inline(vec![vec![1, 2, 3], vec![u32::MAX]]),
+            DatasetSpec::Path("data/retail.dat".into()),
+        ];
+        let hashes: Vec<u64> = specs.iter().map(spec_hash).collect();
+        assert_eq!(
+            hashes,
+            [
+                0x2ae1_fde3_de09_e8be,
+                0x1fe3_59fa_dcb3_ecfe,
+                0x37b2_7739_cfd0_c780,
+                0x9875_ac50_2b3a_46c2,
+                0x0fd9_4aa2_a0f8_c413,
+            ]
+        );
+        let shards: Vec<[usize; 2]> =
+            specs.iter().map(|s| [shard_of(s, 2), shard_of(s, 4)]).collect();
+        assert_eq!(shards, [[0, 2], [1, 1], [0, 2], [0, 2], [0, 0]]);
+        let stems = ["store/named-ds1-smoke.fpa", "named-ds4-ci.fpa"];
+        let shards: Vec<[usize; 2]> = stems
+            .iter()
+            .map(|s| [stem_shard(Path::new(s), 2), stem_shard(Path::new(s), 4)])
+            .collect();
+        assert_eq!(shards, [[0, 2], [1, 3]]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!   results; a **new** service against the same directory answers the
 //!   same request as a cache hit with a **zero `mined_runs` delta**,
 //!   byte-identical to the cold run;
-//! * damaging any one of the artifact's seven sections (or its header)
+//! * damaging any one of the artifact's sections (or its header)
 //!   is detected at load — `store_integrity_failures` — and the service
 //!   degrades to a correct cold rebuild, never serving poison;
 //! * an artifact appended *while the service was down* warm-starts the
@@ -89,8 +89,10 @@ fn damage_in_any_section_degrades_to_cold_rebuild() {
     let clean = std::fs::read(&artifact_path).unwrap();
     let name = artifact_path.file_name().unwrap().to_owned();
 
-    // Section payload offsets from the table: entries start at byte 16,
-    // 24 bytes each (id u32, offset u64, len u64, crc u32).
+    // Section payload offsets from the table: the section count sits at
+    // bytes 12..16, entries start at byte 16, 24 bytes each (id u32,
+    // offset u64, len u64, crc u32).
+    let count = u32::from_le_bytes(clean[12..16].try_into().unwrap()) as usize;
     let entry = |i: usize| {
         let base = 16 + i * 24;
         let off = u64::from_le_bytes(clean[base + 4..base + 12].try_into().unwrap()) as usize;
@@ -98,13 +100,13 @@ fn damage_in_any_section_degrades_to_cold_rebuild() {
         (off, len)
     };
     // Damage targets: one byte inside the table itself, then the middle
-    // byte of each of the seven payloads, then a truncation.
+    // byte of every payload, then a truncation.
     let mut variants: Vec<(String, Vec<u8>)> = vec![("header".into(), {
         let mut b = clean.clone();
         b[20] ^= 0x10;
         b
     })];
-    for i in 0..7 {
+    for i in 0..count {
         let (off, len) = entry(i);
         let mut b = clean.clone();
         if len == 0 {
@@ -149,11 +151,12 @@ fn offline_append_invalidates_persisted_results() {
     assert_eq!(cold.outcome, Outcome::Complete);
     first.shutdown();
 
-    // Append one transaction while no service is running: generation
-    // bumps, persisted results become stale.
+    // Append two transactions while no service is running, one of them
+    // holding the largest item id: generation bumps, persisted results
+    // become stale.
     let path = store::scan(&dir).unwrap().pop().unwrap();
     let mut artifact = store::Artifact::load(&path).unwrap();
-    let report = store::append(&mut artifact, &[vec![1, 2, 3]]);
+    let report = store::append(&mut artifact, &[vec![1, 2, 3], vec![u32::MAX]]);
     assert_eq!(report.generation, 1);
     artifact.store(&path).unwrap();
 

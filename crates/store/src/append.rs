@@ -1,30 +1,19 @@
-//! Incremental append: grow a persisted dataset without a full rebuild.
+//! Offline append: grow a persisted dataset.
 //!
-//! The write-efficiency idea (PAPERS.md, wear-leveling-aware persistent
-//! FPM) is to treat the big prepared sections as *cold* and route
-//! growth through a small *hot* delta: appending transactions extends
-//! the raw section, bumps the per-item frequency counters in place, and
-//! — whenever the frequent-item **rank order is unchanged** — merely
-//! appends the new rows' remapped forms to the ranked section instead
-//! of re-deriving it from scratch. Only the conditional structures
-//! derived from the ranked rows (bit-matrix, prefix tree) rebuild, and
-//! those are linear passes over data already in memory.
+//! Appending extends the raw section with the normalized new rows,
+//! re-fingerprints it, bumps the artifact **generation** and drops the
+//! persisted results. The generation is the invalidation mechanism:
+//! cached entries record the generation they were mined at, and
+//! [`crate::Artifact::live_results`] only yields entries whose
+//! generation matches — so a warm-starting service can never serve
+//! pre-append patterns for a post-append database.
 //!
-//! Every append bumps the artifact **generation**, which is the
-//! invalidation mechanism for persisted results: cached entries record
-//! the generation they were mined at, and [`crate::Artifact::live_results`]
-//! only yields entries whose generation matches — so a warm-starting
-//! service can never serve pre-append patterns for a post-append
-//! database.
-//!
-//! Correctness is anchored by equivalence, not trust in the patch
-//! logic: after either path, the artifact compares equal (fingerprint,
-//! freq, ranked, vbm, fpt) to a from-scratch [`crate::Artifact::build`]
-//! of the appended database — tested below and property-tested in
-//! `tests/roundtrip.rs`.
+//! The result equals a from-scratch [`crate::Artifact::build`] of the
+//! grown rows at the new generation — tested below and property-tested
+//! in `tests/roundtrip.rs`.
 
-use crate::artifact::{fingerprint, Artifact, BitMatrix, PrefixTree, RankedSection};
-use fpm::{remap, Item, TransactionDb};
+use crate::artifact::{fingerprint, Artifact};
+use fpm::{Item, TransactionDb};
 
 /// What an [`append`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,101 +24,25 @@ pub struct AppendReport {
     pub generation: u64,
     /// Result-cache entries invalidated by the generation bump.
     pub invalidated_results: usize,
-    /// `true` when the frequent-item rank order survived and the ranked
-    /// section was patched in place; `false` when the order changed and
-    /// the prepared sections were re-derived from the raw section.
-    pub incremental: bool,
 }
 
-/// Appends `new_rows` to the artifact's dataset, invalidating dependent
-/// results and patching (or, when the rank order changed, rebuilding)
-/// the prepared sections. See the module docs for the contract.
+/// Appends `new_rows` to the artifact's dataset and invalidates its
+/// results. See the module docs for the contract.
 pub fn append(a: &mut Artifact, new_rows: &[Vec<Item>]) -> AppendReport {
-    // Normalize exactly like `TransactionDb::from_transactions`: items
-    // sorted ascending, duplicates dropped, empty rows kept.
-    let normalized: Vec<Vec<Item>> = new_rows
-        .iter()
-        .map(|t| {
-            let mut row = t.clone();
-            row.sort_unstable();
-            row.dedup();
-            row
-        })
-        .collect();
-
     let invalidated_results = a.live_results().count();
     a.generation += 1;
     a.results.clear();
 
-    for row in &normalized {
-        if let Some(&max) = row.last() {
-            if max as usize >= a.freq.len() {
-                a.freq.resize(max as usize + 1, 0);
-            }
-        }
-        for &i in row {
-            a.freq[i as usize] += 1;
-        }
-    }
-    a.raw.extend(normalized.iter().cloned());
-
-    // The raw rows are already normalized, so rebuilding the db is a
-    // pure copy; it re-derives n_items and the fingerprint for us.
-    let db = TransactionDb::from_transactions(a.raw.clone());
-    a.fingerprint = fingerprint(&db);
-
-    // Re-derive the frequent-rank order from the updated counters,
-    // mirroring `fpm::remap` exactly (freq desc, original id asc).
-    let minsup = a.prepared_minsup.max(1);
-    let mut frequent: Vec<Item> = (0..a.freq.len() as u32)
-        .filter(|&i| a.freq[i as usize] >= minsup)
-        .collect();
-    frequent.sort_by(|&x, &y| {
-        a.freq[y as usize]
-            .cmp(&a.freq[x as usize])
-            .then(x.cmp(&y))
-    });
-
-    let incremental = frequent == a.ranked.to_orig;
-    if incremental {
-        // Rank order unchanged: patch supports, append remapped rows.
-        for (rank, &orig) in frequent.iter().enumerate() {
-            a.ranked.supports[rank] = a.freq[orig as usize];
-        }
-        let mut to_rank = vec![u32::MAX; a.freq.len()];
-        for (rank, &orig) in frequent.iter().enumerate() {
-            to_rank[orig as usize] = rank as u32;
-        }
-        for row in &normalized {
-            let mut mapped: Vec<u32> = row
-                .iter()
-                .filter_map(|&i| {
-                    let r = to_rank[i as usize];
-                    (r != u32::MAX).then_some(r)
-                })
-                .collect();
-            if !mapped.is_empty() {
-                mapped.sort_unstable();
-                a.ranked.rows.push(mapped);
-            }
-        }
-        a.ranked.original_len += normalized.len() as u64;
-    } else {
-        // Order changed: the remapped ids themselves are stale, so the
-        // whole prepared family re-derives from raw.
-        a.ranked = RankedSection::from_ranked(&remap(&db, a.prepared_minsup));
-    }
-    // The conditional structures always rebuild from the (patched or
-    // re-derived) ranked rows: they index by row position and rank, so
-    // any growth touches them wholesale anyway.
-    a.vbm = BitMatrix::build(&a.ranked.rows, a.ranked.to_orig.len());
-    a.fpt = PrefixTree::build(&a.ranked.rows);
+    // Normalized like the rows already there: items sorted ascending,
+    // duplicates dropped, empty rows kept.
+    let new_rows = TransactionDb::from_transactions(new_rows.to_vec());
+    a.raw.extend_from_slice(new_rows.transactions());
+    a.fingerprint = fingerprint(&TransactionDb::from_transactions(a.raw.clone()));
 
     AppendReport {
-        appended_rows: normalized.len(),
+        appended_rows: new_rows.len(),
         generation: a.generation,
         invalidated_results,
-        incremental,
     }
 }
 
@@ -149,52 +62,42 @@ mod tests {
         ]
     }
 
-    fn built(rows: Vec<Vec<Item>>, minsup: u64) -> Artifact {
+    fn built(rows: Vec<Vec<Item>>) -> Artifact {
         let db = TransactionDb::from_transactions(rows);
-        Artifact::build(SpecMeta::named("ds1", "smoke"), &db, minsup)
+        Artifact::build(SpecMeta::named("ds1", "smoke"), &db)
     }
 
     /// Appending must land on exactly the state a from-scratch build of
-    /// the full dataset produces, whichever path it took.
+    /// the full dataset produces, at the appended generation.
     fn assert_matches_scratch(appended: &Artifact, all_rows: Vec<Vec<Item>>) {
-        let scratch = built(all_rows, appended.prepared_minsup);
-        assert_eq!(appended.fingerprint, scratch.fingerprint);
-        assert_eq!(appended.freq, scratch.freq);
-        assert_eq!(appended.ranked, scratch.ranked);
-        assert_eq!(appended.vbm, scratch.vbm);
-        assert_eq!(appended.fpt, scratch.fpt);
+        let mut scratch = built(all_rows);
+        scratch.generation = appended.generation;
+        assert_eq!(appended, &scratch);
         assert!(appended.verify_deep().is_ok());
     }
 
     #[test]
-    fn order_preserving_append_is_incremental() {
-        let mut a = built(base_rows(), 2);
-        // [1,2] reinforces the existing order (2 most frequent, then 1).
-        let delta = vec![vec![2, 1], vec![2]];
-        let report = append(&mut a, &delta);
-        assert!(report.incremental);
-        assert_eq!(report.appended_rows, 2);
-        assert_eq!(report.generation, 1);
-        let mut all = base_rows();
-        all.extend(delta);
-        assert_matches_scratch(&a, all);
-    }
-
-    #[test]
-    fn order_change_falls_back_to_rebuild() {
-        let mut a = built(base_rows(), 2);
-        // Flood item 7 (previously absent) to the top of the ranking.
-        let delta: Vec<Vec<Item>> = (0..10).map(|_| vec![7]).collect();
-        let report = append(&mut a, &delta);
-        assert!(!report.incremental);
-        let mut all = base_rows();
-        all.extend(delta);
-        assert_matches_scratch(&a, all);
+    fn append_matches_a_scratch_build_whatever_the_item_order() {
+        let deltas: [Vec<Vec<Item>>; 2] = [
+            // [1,2] reinforces the existing order (2 most frequent, then 1).
+            vec![vec![2, 1], vec![2]],
+            // Flood item 7 (previously absent) to the top of the ranking.
+            (0..10).map(|_| vec![7]).collect(),
+        ];
+        for delta in deltas {
+            let mut a = built(base_rows());
+            let report = append(&mut a, &delta);
+            assert_eq!(report.appended_rows, delta.len());
+            assert_eq!(report.generation, 1);
+            let mut all = base_rows();
+            all.extend(delta);
+            assert_matches_scratch(&a, all);
+        }
     }
 
     #[test]
     fn append_bumps_generation_and_invalidates_results() {
-        let mut a = built(base_rows(), 2);
+        let mut a = built(base_rows());
         a.push_result(
             0,
             2,
@@ -211,7 +114,7 @@ mod tests {
 
     #[test]
     fn appended_artifact_roundtrips_on_disk() {
-        let mut a = built(base_rows(), 2);
+        let mut a = built(base_rows());
         append(&mut a, &[vec![1, 3], vec![]]);
         let bytes = a.encode();
         assert_eq!(Artifact::decode(&bytes).expect("clean decode"), a);
@@ -219,12 +122,22 @@ mod tests {
 
     #[test]
     fn unnormalized_and_empty_rows_are_handled() {
-        let mut a = built(base_rows(), 2);
+        let mut a = built(base_rows());
         let delta = vec![vec![2, 2, 1], vec![]];
         let report = append(&mut a, &delta);
         assert_eq!(report.appended_rows, 2);
         let mut all = base_rows();
         all.extend(delta);
         assert_matches_scratch(&a, all);
+    }
+
+    #[test]
+    fn the_largest_item_id_costs_only_its_row_bytes() {
+        let mut a = built(base_rows());
+        let before = a.encode().len();
+        append(&mut a, &[vec![u32::MAX]]);
+        // One row: a u32 length and one u32 item.
+        assert_eq!(a.encode().len(), before + 8);
+        assert!(a.verify_deep().is_ok());
     }
 }

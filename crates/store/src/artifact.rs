@@ -1,6 +1,6 @@
 //! The on-disk artifact: sectioned, versioned, checksummed.
 //!
-//! # Layout (format version 2; version 1 still decodes)
+//! # Layout (format version 3)
 //!
 //! ```text
 //! magic "FPMSTOR1" (8)  version u32  section_count u32
@@ -21,36 +21,31 @@
 //!
 //! | id | name    | contents                                           |
 //! |----|---------|----------------------------------------------------|
-//! | 1  | meta    | generation, fingerprint, prepared minsup, spec     |
+//! | 1  | meta    | generation, fingerprint, spec                      |
 //! | 2  | rawdb   | normalized raw transactions (original item ids)    |
-//! | 3  | freq    | per-original-item support counts (the border map)  |
-//! | 4  | ranked  | remapped DB: rank→orig, supports, ranked rows      |
-//! | 5  | vbm     | vertical bit-matrix, column-major u64 words        |
-//! | 6  | fpt     | serialized prefix tree (item, parent, count) rows  |
-//! | 7  | results | cached results keyed (kernel, minsup, query, gen)  |
+//! | 3  | results | cached results keyed (kernel, minsup, query, gen)  |
 //!
-//! Sections 4–6 are the paper's P2 *prepared* forms — persisting them
-//! is the point: a warm start costs a checksum pass, not a rebuild.
-//! Section 7 entries are only served when their recorded generation
+//! These are exactly what a warm start reads: the raw rows rebuild the
+//! database (skipping dataset generation), and the results seed the
+//! cache (skipping the mine). Every mine prepares its own remapped
+//! forms for its own minsup, so none are persisted.
+//!
+//! Section 3 entries are only served when their recorded generation
 //! matches the artifact's current generation; `append` bumps the
-//! generation, which invalidates every dependent cached result without
-//! touching their bytes.
+//! generation and drops the entries. Each entry carries a **query
+//! tag** in the canonical [`fpm::PatternQuery::encode`] byte layout
+//! (class code, top-k flag + value, rules flag + two `f64` bit
+//! patterns), so a warm start can seed the serve cache under the full
+//! key `(fingerprint, kernel, minsup, query)`.
 //!
-//! # Version 2: query-tagged results
-//!
-//! Version 2 adds a **query tag** to every results entry — the
-//! canonical [`fpm::PatternQuery::encode`] byte layout (class code,
-//! top-k flag + value, rules flag + two `f64` bit patterns), so a
-//! warm start can seed the serve cache under the full widened key
-//! `(fingerprint, kernel, minsup, query)`. Version 1 files carry no
-//! tag; the decoder reads them with every entry tagged as the identity
-//! query ([`fpm::QueryKey::default`]), which is exactly what a v1
-//! producer meant. The writer always emits version 2.
+//! The decoder accepts only [`FORMAT_VERSION`]. Any other version reads
+//! as [`LoadError::BadVersion`], which callers treat like any other
+//! detected damage: serve re-mines, and its next flush rewrites the
+//! artifact in the current format.
 
 use crate::fmt::{crc32, put_str, put_u32, put_u64, Rd};
 use fpm::types::MineKind;
-use fpm::{remap, Item, ItemsetCount, QueryKey, TransactionDb};
-use std::collections::BTreeMap;
+use fpm::{Item, ItemsetCount, QueryKey, TransactionDb};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -59,39 +54,26 @@ use std::path::{Path, PathBuf};
 /// File magic, identifying the artifact family; the version field right
 /// after it carries the format version.
 pub const MAGIC: [u8; 8] = *b"FPMSTOR1";
-/// On-disk format version written by [`Artifact::encode`]; bump on any
-/// incompatible layout change. The decoder also accepts every version
-/// in [`DECODABLE_VERSIONS`].
-pub const FORMAT_VERSION: u32 = 2;
-/// Format versions [`Artifact::decode`] understands: 1 (query-less
-/// results entries, read as identity-query) and 2 (query-tagged).
-pub const DECODABLE_VERSIONS: [u32; 2] = [1, 2];
+/// The on-disk format version, written by [`Artifact::encode`] and the
+/// only one [`Artifact::decode`] accepts; bump on any incompatible
+/// layout change.
+pub const FORMAT_VERSION: u32 = 3;
 /// Artifact file extension (`<stem>.fpa`).
 pub const EXTENSION: &str = "fpa";
 
 const SEC_META: u32 = 1;
 const SEC_RAWDB: u32 = 2;
-const SEC_FREQ: u32 = 3;
-const SEC_RANKED: u32 = 4;
-const SEC_VBM: u32 = 5;
-const SEC_FPT: u32 = 6;
-const SEC_RESULTS: u32 = 7;
+const SEC_RESULTS: u32 = 3;
 
 /// Canonical section order; the decoder requires exactly these ids in
-/// exactly this order (we are the only writer of version-1 files).
-const SECTION_IDS: [u32; 7] = [
-    SEC_META, SEC_RAWDB, SEC_FREQ, SEC_RANKED, SEC_VBM, SEC_FPT, SEC_RESULTS,
-];
+/// exactly this order.
+const SECTION_IDS: [u32; 3] = [SEC_META, SEC_RAWDB, SEC_RESULTS];
 
 /// Human name of a section id, for error taxonomy and `inspect`.
 pub fn section_name(id: u32) -> &'static str {
     match id {
         SEC_META => "meta",
         SEC_RAWDB => "rawdb",
-        SEC_FREQ => "freq",
-        SEC_RANKED => "ranked",
-        SEC_VBM => "vbm",
-        SEC_FPT => "fpt",
         SEC_RESULTS => "results",
         _ => "unknown",
     }
@@ -221,123 +203,7 @@ impl SpecMeta {
     }
 }
 
-/// The persisted remapped database (section 4): the rank↔original
-/// translation, per-rank supports, and the ranked rows themselves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedSection {
-    /// Original item id per rank (rank 0 = most frequent).
-    pub to_orig: Vec<Item>,
-    /// Support per rank.
-    pub supports: Vec<u64>,
-    /// Length of the *original* database (supports' denominator).
-    pub original_len: u64,
-    /// Remapped transactions, each sorted ascending by rank.
-    pub rows: Vec<Vec<u32>>,
-}
-
-impl RankedSection {
-    /// Copies a [`fpm::RankedDb`] into the persistable form.
-    pub fn from_ranked(r: &fpm::RankedDb) -> RankedSection {
-        let to_orig = (0..r.map.n_ranks() as u32).map(|k| r.map.original(k)).collect();
-        let supports = (0..r.map.n_ranks() as u32).map(|k| r.map.support(k)).collect();
-        RankedSection {
-            to_orig,
-            supports,
-            original_len: r.original_len as u64,
-            rows: r.transactions.clone(),
-        }
-    }
-}
-
-/// The persisted vertical bit-matrix (section 5): one column of
-/// `words_per_col` u64 words per rank, bit `row` set when the row's
-/// transaction contains the rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMatrix {
-    /// Number of rank columns.
-    pub n_ranks: u32,
-    /// Number of transaction rows.
-    pub n_rows: u64,
-    /// Words per column (`ceil(n_rows / 64)`).
-    pub words_per_col: u32,
-    /// Column-major words: rank `r` occupies `words[r*wpc..(r+1)*wpc]`.
-    pub words: Vec<u64>,
-}
-
-impl BitMatrix {
-    /// Builds the matrix from ranked rows.
-    pub fn build(rows: &[Vec<u32>], n_ranks: usize) -> BitMatrix {
-        let wpc = rows.len().div_ceil(64);
-        let mut words = vec![0u64; n_ranks * wpc];
-        for (row, t) in rows.iter().enumerate() {
-            for &r in t {
-                words[r as usize * wpc + row / 64] |= 1u64 << (row % 64);
-            }
-        }
-        BitMatrix {
-            n_ranks: n_ranks as u32,
-            n_rows: rows.len() as u64,
-            words_per_col: wpc as u32,
-            words,
-        }
-    }
-}
-
-/// The persisted prefix tree (section 6), stored as parallel arrays in
-/// deterministic insertion order: node 0 is the root; every other node
-/// records its rank item, parent index, and path count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixTree {
-    /// Rank item per node (`u32::MAX` at the root).
-    pub items: Vec<u32>,
-    /// Parent node index per node (self-referential 0 at the root).
-    pub parents: Vec<u32>,
-    /// Number of ranked rows whose prefix passes through the node.
-    pub counts: Vec<u64>,
-}
-
-impl PrefixTree {
-    /// Builds the tree by inserting ranked rows in row order, with a
-    /// `BTreeMap` child index so node numbering is deterministic.
-    pub fn build(rows: &[Vec<u32>]) -> PrefixTree {
-        let mut items = vec![u32::MAX];
-        let mut parents = vec![0u32];
-        let mut counts = vec![0u64];
-        let mut children: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for t in rows {
-            let mut cur = 0u32;
-            for &it in t {
-                let next = match children.get(&(cur, it)) {
-                    Some(&n) => n,
-                    None => {
-                        let n = items.len() as u32;
-                        items.push(it);
-                        parents.push(cur);
-                        counts.push(0);
-                        children.insert((cur, it), n);
-                        n
-                    }
-                };
-                counts[next as usize] += 1;
-                cur = next;
-            }
-        }
-        PrefixTree { items, parents, counts }
-    }
-
-    /// Number of nodes, root included.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True only for a degenerate zero-node value (never produced by
-    /// [`PrefixTree::build`], which always emits the root).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-/// One persisted result-cache entry (section 7).
+/// One persisted result-cache entry (section 3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultEntry {
     /// Kernel code (`fpm::Kernel::code`).
@@ -346,10 +212,10 @@ pub struct ResultEntry {
     pub min_support: u64,
     /// The pattern query the result answers, in its hashable key form
     /// ([`fpm::PatternQuery::key`]); [`QueryKey::default`] is the
-    /// identity query — the only value version-1 files can carry.
+    /// identity query.
     pub query: QueryKey,
-    /// Artifact generation the result belongs to; entries from older
-    /// generations are dead weight kept only until the next rewrite.
+    /// Artifact generation the result belongs to; only entries of the
+    /// artifact's current generation are served.
     pub generation: u64,
     /// The complete mined pattern list, serial order.
     pub patterns: Vec<ItemsetCount>,
@@ -365,47 +231,21 @@ pub struct Artifact {
     pub generation: u64,
     /// FNV fingerprint of the raw database ([`fingerprint`]).
     pub fingerprint: u64,
-    /// Minimum support the prepared sections (4–6) were built at.
-    pub prepared_minsup: u64,
     /// Normalized raw transactions (sorted, deduplicated items).
     pub raw: Vec<Vec<Item>>,
-    /// Per-original-item support counts.
-    pub freq: Vec<u64>,
-    /// Prepared: the remapped database.
-    pub ranked: RankedSection,
-    /// Prepared: the vertical bit-matrix.
-    pub vbm: BitMatrix,
-    /// Prepared: the prefix tree.
-    pub fpt: PrefixTree,
     /// Persisted result-cache entries.
     pub results: Vec<ResultEntry>,
 }
 
 impl Artifact {
     /// Builds a fresh artifact (generation 0, no results) from a raw
-    /// database, preparing the remapped DB, bit-matrix and prefix tree
-    /// at `minsup`.
-    pub fn build(spec: SpecMeta, db: &TransactionDb, minsup: u64) -> Artifact {
-        let mut freq = vec![0u64; db.n_items()];
-        for t in db.transactions() {
-            for &i in t {
-                freq[i as usize] += 1;
-            }
-        }
-        let ranked_db = remap(db, minsup);
-        let ranked = RankedSection::from_ranked(&ranked_db);
-        let vbm = BitMatrix::build(&ranked.rows, ranked.to_orig.len());
-        let fpt = PrefixTree::build(&ranked.rows);
+    /// database.
+    pub fn build(spec: SpecMeta, db: &TransactionDb) -> Artifact {
         Artifact {
             spec,
             generation: 0,
             fingerprint: fingerprint(db),
-            prepared_minsup: minsup,
             raw: db.transactions().to_vec(),
-            freq,
-            ranked,
-            vbm,
-            fpt,
             results: Vec::new(),
         }
     }
@@ -450,37 +290,19 @@ impl Artifact {
         dir.join(format!("{}.{}", self.stem(), EXTENSION))
     }
 
-    /// Serializes to the sectioned format documented at module level
-    /// (always the current [`FORMAT_VERSION`]).
+    /// Serializes to the sectioned format documented at module level.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(FORMAT_VERSION)
-    }
-
-    /// Serializes in the version-1 layout (query-less results entries).
-    /// **Lossy**: entries whose query is not the identity cannot be
-    /// represented and are dropped. Exists so compatibility tests can
-    /// manufacture genuine v1 bytes; production code always writes v2.
-    #[doc(hidden)]
-    pub fn encode_legacy_v1(&self) -> Vec<u8> {
-        self.encode_with(1)
-    }
-
-    fn encode_with(&self, version: u32) -> Vec<u8> {
         let payloads: Vec<(u32, Vec<u8>)> = vec![
             (SEC_META, self.enc_meta()),
-            (SEC_RAWDB, enc_rows_items(&self.raw)),
-            (SEC_FREQ, self.enc_freq()),
-            (SEC_RANKED, self.enc_ranked()),
-            (SEC_VBM, self.enc_vbm()),
-            (SEC_FPT, self.enc_fpt()),
-            (SEC_RESULTS, self.enc_results(version)),
+            (SEC_RAWDB, enc_rows(&self.raw)),
+            (SEC_RESULTS, self.enc_results()),
         ];
         let header_len = 8 + 4 + 4 + payloads.len() * 24 + 4;
         let mut out = Vec::with_capacity(
             header_len + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
         );
         out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, version);
+        put_u32(&mut out, FORMAT_VERSION);
         put_u32(&mut out, payloads.len() as u32);
         let mut offset = header_len as u64;
         for (id, payload) in &payloads {
@@ -509,7 +331,7 @@ impl Artifact {
         let mut rd = Rd::new(bytes);
         let _ = rd.bytes(8); // magic, just checked
         let version = rd.u32().ok_or(corrupt("header"))?;
-        if !DECODABLE_VERSIONS.contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(LoadError::BadVersion(version));
         }
         let count = rd.u32().ok_or(corrupt("header"))? as usize;
@@ -556,23 +378,14 @@ impl Artifact {
             }
             sections.push(payload);
         }
-        let (spec, generation, fingerprint, prepared_minsup) = dec_meta(sections[0])?;
-        let raw = dec_rows_items(sections[1], "rawdb")?;
-        let freq = dec_freq(sections[2])?;
-        let ranked = dec_ranked(sections[3])?;
-        let vbm = dec_vbm(sections[4])?;
-        let fpt = dec_fpt(sections[5])?;
-        let results = dec_results(sections[6], version)?;
+        let (spec, generation, fingerprint) = dec_meta(sections[0])?;
+        let raw = dec_rows(sections[1])?;
+        let results = dec_results(sections[2])?;
         Ok(Artifact {
             spec,
             generation,
             fingerprint,
-            prepared_minsup,
             raw,
-            freq,
-            ranked,
-            vbm,
-            fpt,
             results,
         })
     }
@@ -598,32 +411,14 @@ impl Artifact {
         fs::rename(&tmp, path)
     }
 
-    /// Recomputes every prepared section from the raw section and
-    /// compares: the deep half of `store verify`, catching logic drift
-    /// (a stale prepared form with a valid CRC) that checksums cannot.
+    /// Recomputes the fingerprint of the raw section and compares it
+    /// with the recorded one: the deep half of `store verify`, catching
+    /// a stale raw section with a valid CRC (a buggy producer) that
+    /// checksums cannot.
     pub fn verify_deep(&self) -> Result<(), String> {
         let db = TransactionDb::from_transactions(self.raw.clone());
         if fingerprint(&db) != self.fingerprint {
             return Err("fingerprint does not match raw section".to_string());
-        }
-        let mut freq = vec![0u64; db.n_items()];
-        for t in db.transactions() {
-            for &i in t {
-                freq[i as usize] += 1;
-            }
-        }
-        if freq != self.freq {
-            return Err("freq section does not match raw section".to_string());
-        }
-        let ranked = RankedSection::from_ranked(&remap(&db, self.prepared_minsup));
-        if ranked != self.ranked {
-            return Err("ranked section does not match raw remap".to_string());
-        }
-        if BitMatrix::build(&self.ranked.rows, self.ranked.to_orig.len()) != self.vbm {
-            return Err("vbm section does not match ranked rows".to_string());
-        }
-        if PrefixTree::build(&self.ranked.rows) != self.fpt {
-            return Err("fpt section does not match ranked rows".to_string());
         }
         Ok(())
     }
@@ -632,76 +427,19 @@ impl Artifact {
         let mut out = Vec::new();
         put_u64(&mut out, self.generation);
         put_u64(&mut out, self.fingerprint);
-        put_u64(&mut out, self.prepared_minsup);
         out.push(self.spec.kind.code());
         put_str(&mut out, &self.spec.dataset);
         put_str(&mut out, &self.spec.scale);
         out
     }
 
-    fn enc_freq(&self) -> Vec<u8> {
+    fn enc_results(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.freq.len() as u64);
-        for &c in &self.freq {
-            put_u64(&mut out, c);
-        }
-        out
-    }
-
-    fn enc_ranked(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.ranked.to_orig.len() as u32);
-        for &o in &self.ranked.to_orig {
-            put_u32(&mut out, o);
-        }
-        for &s in &self.ranked.supports {
-            put_u64(&mut out, s);
-        }
-        put_u64(&mut out, self.ranked.original_len);
-        let rows = enc_rows_u32(&self.ranked.rows);
-        out.extend_from_slice(&rows);
-        out
-    }
-
-    fn enc_vbm(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.vbm.n_ranks);
-        put_u64(&mut out, self.vbm.n_rows);
-        put_u32(&mut out, self.vbm.words_per_col);
-        for &w in &self.vbm.words {
-            put_u64(&mut out, w);
-        }
-        out
-    }
-
-    fn enc_fpt(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.fpt.items.len() as u64);
-        for i in 0..self.fpt.items.len() {
-            put_u32(&mut out, self.fpt.items[i]);
-            put_u32(&mut out, self.fpt.parents[i]);
-            put_u64(&mut out, self.fpt.counts[i]);
-        }
-        out
-    }
-
-    fn enc_results(&self, version: u32) -> Vec<u8> {
-        // Version 1 cannot carry a query tag: only identity-query
-        // entries survive a legacy encode (push_result dedup keeps the
-        // retained set deterministic).
-        let entries: Vec<&ResultEntry> = self
-            .results
-            .iter()
-            .filter(|e| version >= 2 || e.query == QueryKey::default())
-            .collect();
-        let mut out = Vec::new();
-        put_u64(&mut out, entries.len() as u64);
-        for e in entries {
+        put_u64(&mut out, self.results.len() as u64);
+        for e in &self.results {
             out.push(e.kernel);
             put_u64(&mut out, e.min_support);
-            if version >= 2 {
-                enc_query(&mut out, &e.query);
-            }
+            enc_query(&mut out, &e.query);
             put_u64(&mut out, e.generation);
             put_u64(&mut out, e.patterns.len() as u64);
             for p in &e.patterns {
@@ -770,7 +508,7 @@ fn take_len(n: u64, section: &'static str) -> Result<usize, LoadError> {
     }
 }
 
-fn enc_rows_items(rows: &[Vec<Item>]) -> Vec<u8> {
+fn enc_rows(rows: &[Vec<Item>]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, rows.len() as u64);
     for t in rows {
@@ -782,14 +520,10 @@ fn enc_rows_items(rows: &[Vec<Item>]) -> Vec<u8> {
     out
 }
 
-fn enc_rows_u32(rows: &[Vec<u32>]) -> Vec<u8> {
-    enc_rows_items(rows)
-}
-
-fn dec_rows_items(bytes: &[u8], section: &'static str) -> Result<Vec<Vec<u32>>, LoadError> {
-    let corrupt = || LoadError::Corrupt { section };
+fn dec_rows(bytes: &[u8]) -> Result<Vec<Vec<Item>>, LoadError> {
+    let corrupt = || LoadError::Corrupt { section: "rawdb" };
     let mut rd = Rd::new(bytes);
-    let n = take_len(rd.u64().ok_or_else(corrupt)?, section)?;
+    let n = take_len(rd.u64().ok_or_else(corrupt)?, "rawdb")?;
     let mut rows = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         let len = rd.u32().ok_or_else(corrupt)? as usize;
@@ -805,100 +539,21 @@ fn dec_rows_items(bytes: &[u8], section: &'static str) -> Result<Vec<Vec<u32>>, 
     Ok(rows)
 }
 
-fn dec_meta(bytes: &[u8]) -> Result<(SpecMeta, u64, u64, u64), LoadError> {
+fn dec_meta(bytes: &[u8]) -> Result<(SpecMeta, u64, u64), LoadError> {
     let corrupt = || LoadError::Corrupt { section: "meta" };
     let mut rd = Rd::new(bytes);
     let generation = rd.u64().ok_or_else(corrupt)?;
     let fingerprint = rd.u64().ok_or_else(corrupt)?;
-    let prepared_minsup = rd.u64().ok_or_else(corrupt)?;
     let kind = SpecKind::from_code(rd.u8().ok_or_else(corrupt)?).ok_or_else(corrupt)?;
     let dataset = rd.str().ok_or_else(corrupt)?;
     let scale = rd.str().ok_or_else(corrupt)?;
     if !rd.exhausted() {
         return Err(corrupt());
     }
-    Ok((SpecMeta { kind, dataset, scale }, generation, fingerprint, prepared_minsup))
+    Ok((SpecMeta { kind, dataset, scale }, generation, fingerprint))
 }
 
-fn dec_freq(bytes: &[u8]) -> Result<Vec<u64>, LoadError> {
-    let corrupt = || LoadError::Corrupt { section: "freq" };
-    let mut rd = Rd::new(bytes);
-    let n = take_len(rd.u64().ok_or_else(corrupt)?, "freq")?;
-    let mut freq = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        freq.push(rd.u64().ok_or_else(corrupt)?);
-    }
-    if !rd.exhausted() {
-        return Err(corrupt());
-    }
-    Ok(freq)
-}
-
-fn dec_ranked(bytes: &[u8]) -> Result<RankedSection, LoadError> {
-    let corrupt = || LoadError::Corrupt { section: "ranked" };
-    let mut rd = Rd::new(bytes);
-    let n_ranks = rd.u32().ok_or_else(corrupt)? as usize;
-    let mut to_orig = Vec::with_capacity(n_ranks.min(1 << 20));
-    for _ in 0..n_ranks {
-        to_orig.push(rd.u32().ok_or_else(corrupt)?);
-    }
-    let mut supports = Vec::with_capacity(n_ranks.min(1 << 20));
-    for _ in 0..n_ranks {
-        supports.push(rd.u64().ok_or_else(corrupt)?);
-    }
-    let original_len = rd.u64().ok_or_else(corrupt)?;
-    let n = take_len(rd.u64().ok_or_else(corrupt)?, "ranked")?;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let len = rd.u32().ok_or_else(corrupt)? as usize;
-        let mut row = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            row.push(rd.u32().ok_or_else(corrupt)?);
-        }
-        rows.push(row);
-    }
-    if !rd.exhausted() {
-        return Err(corrupt());
-    }
-    Ok(RankedSection { to_orig, supports, original_len, rows })
-}
-
-fn dec_vbm(bytes: &[u8]) -> Result<BitMatrix, LoadError> {
-    let corrupt = || LoadError::Corrupt { section: "vbm" };
-    let mut rd = Rd::new(bytes);
-    let n_ranks = rd.u32().ok_or_else(corrupt)?;
-    let n_rows = rd.u64().ok_or_else(corrupt)?;
-    let words_per_col = rd.u32().ok_or_else(corrupt)?;
-    let n_words = take_len((n_ranks as u64).saturating_mul(words_per_col as u64), "vbm")?;
-    let mut words = Vec::with_capacity(n_words.min(1 << 20));
-    for _ in 0..n_words {
-        words.push(rd.u64().ok_or_else(corrupt)?);
-    }
-    if !rd.exhausted() {
-        return Err(corrupt());
-    }
-    Ok(BitMatrix { n_ranks, n_rows, words_per_col, words })
-}
-
-fn dec_fpt(bytes: &[u8]) -> Result<PrefixTree, LoadError> {
-    let corrupt = || LoadError::Corrupt { section: "fpt" };
-    let mut rd = Rd::new(bytes);
-    let n = take_len(rd.u64().ok_or_else(corrupt)?, "fpt")?;
-    let mut items = Vec::with_capacity(n.min(1 << 20));
-    let mut parents = Vec::with_capacity(n.min(1 << 20));
-    let mut counts = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        items.push(rd.u32().ok_or_else(corrupt)?);
-        parents.push(rd.u32().ok_or_else(corrupt)?);
-        counts.push(rd.u64().ok_or_else(corrupt)?);
-    }
-    if !rd.exhausted() {
-        return Err(corrupt());
-    }
-    Ok(PrefixTree { items, parents, counts })
-}
-
-fn dec_results(bytes: &[u8], version: u32) -> Result<Vec<ResultEntry>, LoadError> {
+fn dec_results(bytes: &[u8]) -> Result<Vec<ResultEntry>, LoadError> {
     let corrupt = || LoadError::Corrupt { section: "results" };
     let mut rd = Rd::new(bytes);
     let n = take_len(rd.u64().ok_or_else(corrupt)?, "results")?;
@@ -906,13 +561,7 @@ fn dec_results(bytes: &[u8], version: u32) -> Result<Vec<ResultEntry>, LoadError
     for _ in 0..n {
         let kernel = rd.u8().ok_or_else(corrupt)?;
         let min_support = rd.u64().ok_or_else(corrupt)?;
-        let query = if version >= 2 {
-            dec_query(&mut rd).ok_or_else(corrupt)?
-        } else {
-            // Version 1 predates the query surface: every entry answers
-            // the identity query.
-            QueryKey::default()
-        };
+        let query = dec_query(&mut rd).ok_or_else(corrupt)?;
         let generation = rd.u64().ok_or_else(corrupt)?;
         let np = take_len(rd.u64().ok_or_else(corrupt)?, "results")?;
         let mut patterns = Vec::with_capacity(np.min(1 << 20));
@@ -959,7 +608,7 @@ mod tests {
             vec![5, 2, 1],
             vec![4],
         ]);
-        let mut a = Artifact::build(SpecMeta::named("ds1", "smoke"), &db, 2);
+        let mut a = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
         a.push_result(
             0,
             2,
@@ -969,7 +618,7 @@ mod tests {
                 ItemsetCount { items: vec![1, 2], support: 3 },
             ],
         );
-        // A query-tagged entry (closed, top-2): v2's reason to exist.
+        // A query-tagged entry (closed, top-2).
         a.push_result(
             0,
             2,
@@ -995,10 +644,10 @@ mod tests {
         let (_, a) = sample();
         assert!(a.verify_deep().is_ok());
         let mut tampered = a.clone();
-        tampered.freq[1] += 1;
+        tampered.raw[1].push(9); // raw rows no longer match the fingerprint
         assert!(tampered.verify_deep().is_err());
         let mut stale = a;
-        stale.prepared_minsup = 3; // prepared sections now claim the wrong minsup
+        stale.fingerprint ^= 1; // the recorded fingerprint names another dataset
         assert!(stale.verify_deep().is_err());
     }
 
@@ -1034,29 +683,15 @@ mod tests {
         let mut bytes = a.encode();
         bytes[0] = b'X';
         assert!(matches!(Artifact::decode(&bytes), Err(LoadError::BadMagic)));
-        let mut v3 = a.encode();
-        v3[8] = 3; // version field: one past everything decodable
-        assert!(matches!(Artifact::decode(&v3), Err(LoadError::BadVersion(3))));
-    }
-
-    #[test]
-    fn v1_artifacts_still_decode_with_identity_query_tags() {
-        let (_, a) = sample();
-        let v1 = a.encode_legacy_v1();
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes(), "legacy writer stamps version 1");
-        let back = Artifact::decode(&v1).expect("v1 bytes decode");
-        // The query-tagged entry cannot ride in a v1 file; the identity
-        // entry survives, tagged as the identity query.
-        assert_eq!(back.results.len(), 1);
-        assert_eq!(back.results[0].query, QueryKey::default());
-        assert_eq!(back.results[0].patterns, a.results[0].patterns);
-        assert_eq!(back.spec, a.spec);
-        assert_eq!(back.fingerprint, a.fingerprint);
-        assert!(back.verify_deep().is_ok());
-        // Re-encoding the decoded artifact lands on v2 bytes that
-        // round-trip: upgrade-on-rewrite, no special casing.
-        let upgraded = Artifact::decode(&back.encode()).expect("v2 re-encode decodes");
-        assert_eq!(upgraded, back);
+        // The version field, one below and one above the current format.
+        for version in [2u32, 4] {
+            let mut stamped = a.encode();
+            stamped[8..12].copy_from_slice(&version.to_le_bytes());
+            match Artifact::decode(&stamped) {
+                Err(LoadError::BadVersion(v)) => assert_eq!(v, version),
+                other => panic!("version {version}: expected BadVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! # `fpm-store` — the persistent prepared-artifact store
+//! # `fpm-store` — the persistent artifact store
 //!
-//! Serve re-parses and re-mines every dataset from scratch each process
-//! lifetime. This crate makes the *prepared* forms durable instead
-//! (DESIGN.md §14): a compact, versioned, checksummed on-disk artifact
-//! holding the remapped database, the item-frequency map, the vertical
-//! bit-matrix, the serialized prefix tree, and persisted result-cache
-//! entries — so a restart costs a checksum pass, not a rebuild. That is
-//! the paper's P2 data-structure-adaptation pattern carried across the
-//! process boundary: the expensive step is building the adapted
-//! structures, so those, not the raw text, are what persist.
+//! Serve re-generates and re-mines every dataset from scratch each
+//! process lifetime. This crate makes a dataset and its mined results
+//! durable instead (DESIGN.md §14): a compact, versioned, checksummed
+//! on-disk artifact holding the normalized raw transactions and the
+//! persisted result-cache entries — so a restart skips dataset
+//! generation and the mine.
 //!
 //! The three load-bearing promises:
 //!
@@ -25,21 +22,16 @@
 //!   old artifact intact.
 //! * **Generations invalidate.** Persisted results are keyed
 //!   `(kernel, minsup, query, generation)` — the query tag is the
-//!   canonical [`fpm::PatternQuery`] encoding, new in format version 2
-//!   (version-1 files still load, every entry read as the identity
-//!   query); [`append`] bumps the generation,
-//!   so stale patterns can never be served for an appended dataset —
-//!   and when the append preserves the frequent-item rank order, the
-//!   remapped DB and frequency map are patched in place rather than
-//!   rebuilt (the write-efficient hot/cold split of the NVM FPM work
-//!   in PAPERS.md).
+//!   canonical [`fpm::PatternQuery`] encoding; [`append`] bumps the
+//!   generation and drops the results, so stale patterns can never be
+//!   served for an appended dataset.
 //!
 //! ```
 //! use fpm::TransactionDb;
 //! use fpm_store::{append, Artifact, SpecMeta};
 //!
 //! let db = TransactionDb::from_transactions(vec![vec![1, 2, 3], vec![1, 2], vec![2, 3]]);
-//! let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db, 2);
+//! let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
 //! // kernel code 0 = lcm; the default query key is the identity query.
 //! artifact.push_result(0, 2, fpm::QueryKey::default(), vec![]);
 //!
@@ -62,6 +54,6 @@ pub mod fmt;
 
 pub use append::{append, AppendReport};
 pub use artifact::{
-    fingerprint, scan, section_name, Artifact, BitMatrix, LoadError, PrefixTree, RankedSection,
-    ResultEntry, SpecKind, SpecMeta, DECODABLE_VERSIONS, EXTENSION, FORMAT_VERSION, MAGIC,
+    fingerprint, scan, section_name, Artifact, LoadError, ResultEntry, SpecKind, SpecMeta,
+    EXTENSION, FORMAT_VERSION, MAGIC,
 };

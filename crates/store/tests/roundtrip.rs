@@ -3,8 +3,8 @@
 //! * build → persist → load → mine is **byte-identical** to mining the
 //!   original database cold, for every kernel, on arbitrary inputs;
 //! * persisted result entries survive the disk round trip exactly;
-//! * incremental append over a persisted artifact equals a from-scratch
-//!   rebuild of the grown database;
+//! * append over a persisted artifact equals a from-scratch build of
+//!   the grown database;
 //! * damaging any individual section is detected and named; arbitrary
 //!   garbage never panics the decoder.
 
@@ -47,7 +47,7 @@ proptest! {
         db in arb_db(),
         minsup in 1u64..6,
     ) {
-        let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db, minsup);
+        let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
         for kernel in Kernel::ALL {
             artifact.push_result(
                 kernel.code(),
@@ -85,9 +85,9 @@ proptest! {
         }
     }
 
-    /// Incremental append over a persisted artifact equals building the
-    /// grown database from scratch — same prepared sections, and the
-    /// same mined bytes afterwards.
+    /// Append over a persisted artifact equals building the grown
+    /// database from scratch — same sections, and the same mined bytes
+    /// afterwards.
     #[test]
     fn append_after_reload_matches_scratch(
         db in arb_db(),
@@ -95,7 +95,7 @@ proptest! {
             prop::collection::vec(0u32..24, 0..8), 1..8),
         minsup in 1u64..6,
     ) {
-        let artifact = Artifact::build(SpecMeta::named("ds2", "smoke"), &db, minsup);
+        let artifact = Artifact::build(SpecMeta::named("ds2", "smoke"), &db);
         let path = tmp_path("append");
         artifact.store(&path).expect("store");
         let mut grown = Artifact::load(&path).expect("load");
@@ -110,7 +110,7 @@ proptest! {
         let mut all_rows = db.transactions().to_vec();
         all_rows.extend(extra.iter().cloned());
         let reference = TransactionDb::from_transactions(all_rows);
-        let mut scratch = Artifact::build(SpecMeta::named("ds2", "smoke"), &reference, minsup);
+        let mut scratch = Artifact::build(SpecMeta::named("ds2", "smoke"), &reference);
         scratch.generation = grown.generation;
         prop_assert_eq!(&grown, &scratch);
 
@@ -133,9 +133,9 @@ proptest! {
         let _ = Artifact::decode(&bytes);
     }
 
-    /// Format v2: query-tagged result entries survive the disk round
-    /// trip exactly, each query occupying its own slot, and the
-    /// persisted answer equals applying the query to the full mine.
+    /// Query-tagged result entries survive the disk round trip exactly,
+    /// each query occupying its own slot, and the persisted answer
+    /// equals applying the query to the full mine.
     #[test]
     fn query_tagged_results_roundtrip(
         db in arb_db(),
@@ -152,7 +152,7 @@ proptest! {
                 .rules(RuleSpec { min_confidence: 0.5, min_lift: 1.0 }),
         ];
         let full = mine(&db, Kernel::Lcm, minsup);
-        let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db, minsup);
+        let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
         for q in &queries {
             let answer = q.apply(full.clone(), db.len() as u64);
             artifact.push_result(Kernel::Lcm.code(), minsup, q.key(), answer);
@@ -191,11 +191,14 @@ fn damage_names_the_section_it_landed_in() {
         vec![0, 4],
         vec![2, 3, 4],
     ]);
-    let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db, 2);
+    let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
     artifact.push_result(0, 2, QueryKey::default(), mine(&db, Kernel::Lcm, 2));
     let clean = artifact.encode();
 
-    for i in 0..7 {
+    // The section count, so the sweep covers every section of the
+    // current format.
+    let count = u32::from_le_bytes(clean[12..16].try_into().unwrap()) as usize;
+    for i in 0..count {
         let base = 16 + i * 24;
         let id = u32::from_le_bytes(clean[base..base + 4].try_into().unwrap());
         let off = u64::from_le_bytes(clean[base + 4..base + 12].try_into().unwrap()) as usize;
@@ -229,7 +232,7 @@ fn damage_names_the_section_it_landed_in() {
 #[test]
 fn store_is_atomic_rename_and_rewrites_whole() {
     let db = TransactionDb::from_transactions(vec![vec![0, 1], vec![1, 2], vec![0, 2]]);
-    let mut artifact = Artifact::build(SpecMeta::named("ds3", "smoke"), &db, 1);
+    let mut artifact = Artifact::build(SpecMeta::named("ds3", "smoke"), &db);
     let path = tmp_path("atomic");
     artifact.store(&path).expect("first store");
     let first = std::fs::read(&path).expect("read");

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// rank-ordered prefix replay), and the whole serve layer (its cache
 /// eviction, response rendering, and prefix merge all feed
 /// caller-visible output), plus the artifact store's encoder/decoder
-/// and incremental-append patcher (persisted bytes must be a pure
+/// and append (persisted bytes must be a pure
 /// function of the artifact, or checksums and warm-start byte-identity
 /// break). These carry PR 1's byte-identical-to-serial determinism
 /// guarantee, so R3 (deterministic-iteration) applies to them.
