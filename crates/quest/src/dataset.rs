@@ -11,7 +11,7 @@ use fpm::TransactionDb;
 /// the scaled working sets still exceed the simulated L2, so speedup
 /// *shape* is preserved (DESIGN.md §4.4). Supports scale with the
 /// transaction count so relative frequency thresholds match the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Scale {
     /// ~100× down — seconds-fast; unit/integration tests.
     Smoke,
@@ -53,7 +53,7 @@ impl Scale {
 }
 
 /// One of the paper's four evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dataset {
     /// T60I10D300K (IBM Quest synthetic).
     Ds1,

@@ -13,11 +13,14 @@
 //! multiplexing every connection with non-blocking sockets and
 //! per-connection state machines. Requests are submitted as [`Ticket`]s
 //! and polled with [`Ticket::try_wait`], so a slow mining run never
-//! parks the frontend; meanwhile the loop enforces the *outer* tiers of
+//! blocks the frontend, and the worker that answers a ticket unparks
+//! the idle loop; meanwhile the loop enforces the *outer* tiers of
 //! the admission policy — a connection cap (refused connections get one
 //! rejection line), a per-client in-flight quota (excess lines get
 //! rejection responses) and a line-length cap — before the service's
-//! own queue-depth and Geerts-bound tiers even see the request.
+//! own queue-depth and Geerts-bound tiers even see the request. A
+//! connection whose client leaves more than `MAX_UNSENT_BYTES` of
+//! answers unread is neither read nor served until it catches up.
 
 use crate::request::{parse_request, render_response, MineRequest, MineResponse, MineStats};
 use crate::service::{MineService, Ticket};
@@ -25,6 +28,12 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
+
+/// Unsent response bytes past which [`serve_poll`] stops reading a
+/// connection and stops promoting its responses, until the socket has
+/// taken enough of them. The cap bounds a connection's write backlog to
+/// about this plus one response, whatever its client reads.
+const MAX_UNSENT_BYTES: usize = 1 << 20;
 
 /// The per-line step both frontends share. `raw` is one wire line, with
 /// or without its `\n` (or `\r\n`) terminator, decoded lossily so no
@@ -251,9 +260,12 @@ pub fn serve_poll(
             return Ok(stats);
         }
         if !progressed {
-            // Nothing moved: park briefly instead of spinning. 500µs
-            // keeps worst-case added latency well under a mining run.
-            std::thread::sleep(Duration::from_micros(500));
+            // Nothing moved: park instead of spinning. A worker that
+            // answers a ticket submitted here unparks this thread, so a
+            // finished request is promoted at once; the timeout bounds
+            // how late new socket input is noticed, since std offers no
+            // readiness wait.
+            std::thread::park_timeout(Duration::from_micros(500));
         }
     }
 }
@@ -281,8 +293,14 @@ fn step_conn(
 ) -> io::Result<bool> {
     let mut progressed = false;
 
+    // A connection whose client does not read what it is owed stops
+    // being read and stops having responses promoted until the socket
+    // takes the backlog: TCP flow control then pushes back on the
+    // client instead of the backlog growing in this process.
+    let backlogged = conn.wbuf.len() > MAX_UNSENT_BYTES;
+
     // Read tier.
-    if !conn.read_closed && !conn.poisoned {
+    if !conn.read_closed && !conn.poisoned && !backlogged {
         let mut chunk = [0u8; 4096];
         loop {
             match conn.stream.read(&mut chunk) {
@@ -305,10 +323,16 @@ fn step_conn(
                 Err(e) => return Err(e),
             }
         }
-        // Parse every complete line out of the read buffer.
-        while let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-            let Some(parsed) = parse_line(&line) else {
+        // Parse every complete line out of the read buffer: a cursor
+        // walks the lines and one drain drops them all, so a step is
+        // linear in the bytes read however many lines they hold.
+        let mut start = 0;
+        while let Some(line) = conn.rbuf.get(start..).and_then(|rest| {
+            let nl = rest.iter().position(|&b| b == b'\n')?;
+            rest.get(..=nl)
+        }) {
+            start += line.len();
+            let Some(parsed) = parse_line(line) else {
                 continue;
             };
             progressed = true;
@@ -331,6 +355,7 @@ fn step_conn(
                 Err(rejected) => conn.queue_response(&rejected),
             }
         }
+        conn.rbuf.drain(..start);
         if conn.rbuf.len() > cfg.max_line_bytes {
             conn.poisoned = true;
             conn.rbuf.clear();
@@ -344,7 +369,7 @@ fn step_conn(
 
     // Promote tier: move responses into the write buffer strictly in
     // request order — a later ticket finishing first still waits.
-    loop {
+    while conn.wbuf.len() <= MAX_UNSENT_BYTES {
         match conn.pending.front_mut() {
             Some(Pending::Ready(_)) => {
                 let Some(Pending::Ready(line)) = conn.pending.pop_front() else {
@@ -623,6 +648,109 @@ mod tests {
         let v = crate::json::parse(&lines[0]).unwrap();
         assert_eq!(v.get("outcome").unwrap().as_str(), Some("rejected"));
         assert!(v.get("reason").unwrap().as_str().unwrap().contains("exceeds"));
+        server.join().unwrap().unwrap();
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_newline_flood_does_not_stall_other_connections() {
+        let svc = MineService::start(ServeConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc2 = svc.clone();
+        let server = std::thread::spawn(move || {
+            serve_poll(&svc2, listener, FrontendConfig::default(), Some(2))
+        });
+        let answer = |stream: TcpStream| {
+            stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+            let mut line = String::new();
+            std::io::BufReader::new(stream).read_line(&mut line).unwrap();
+            crate::json::parse(&line).unwrap()
+        };
+        let limit = std::time::Duration::from_secs(2);
+
+        // One client sends a million blank lines, then a request.
+        let mut flood = TcpStream::connect(addr).unwrap();
+        let mut bytes = vec![b'\n'; 1_000_000];
+        bytes.extend_from_slice(format!("{}\n", toy_line("lcm", "")).as_bytes());
+        let flood_sent = std::time::Instant::now();
+        flood.write_all(&bytes).unwrap();
+        flood.shutdown(std::net::Shutdown::Write).unwrap();
+
+        // A second client's one request is answered as on an idle server.
+        let mut other = TcpStream::connect(addr).unwrap();
+        let other_sent = std::time::Instant::now();
+        other.write_all(format!("{}\n", toy_line("eclat", "")).as_bytes()).unwrap();
+        other.shutdown(std::net::Shutdown::Write).unwrap();
+        let v = answer(other);
+        let other_took = other_sent.elapsed();
+        assert_eq!(v.get("outcome").unwrap().as_str(), Some("complete"));
+        assert!(other_took < limit, "the second client waited {other_took:?}");
+
+        let v = answer(flood);
+        let flood_took = flood_sent.elapsed();
+        assert_eq!(v.get("outcome").unwrap().as_str(), Some("complete"));
+        assert!(flood_took < limit, "the flooding client waited {flood_took:?}");
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.lines_submitted, 2, "blank lines are skipped");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_pushed_back_on() {
+        // Every big line answers 4 095 patterns, about 150 KB; every
+        // tenth line is a small request, so the order of the answers
+        // shows. The quota and the queue admit every line, so only the
+        // write backlog can hold the client back.
+        const LINES: usize = 1000;
+        let big = r#"{"dataset":{"inline":[[0,1,2,3,4,5,6,7,8,9,10,11]]},"kernel":"lcm","min_support":1}"#;
+        let small = r#"{"dataset":{"inline":[[7]]},"kernel":"lcm","min_support":1}"#;
+        let line = |i: usize| if i % 10 == 9 { small } else { big };
+        let svc = MineService::start(ServeConfig {
+            queue_depth: LINES,
+            ..ServeConfig::default()
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc2 = svc.clone();
+        let cfg = FrontendConfig {
+            max_inflight_per_conn: LINES,
+            ..FrontendConfig::default()
+        };
+        let server = std::thread::spawn(move || serve_poll(&svc2, listener, cfg, Some(1)));
+
+        // Pipeline every line, a few at a time, and read nothing. Then
+        // wait: without the backlog cap, every line is submitted and its
+        // answer held in the server's memory well before the wait ends.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        for first in (0..LINES).step_by(8) {
+            let batch: String = (first..LINES.min(first + 8))
+                .map(|i| format!("{}\n", line(i)))
+                .collect();
+            stream.write_all(batch.as_bytes()).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let wait_until = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        let mut submitted = svc.metrics().get("requests_submitted");
+        while submitted < LINES as u64 && std::time::Instant::now() < wait_until {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            submitted = svc.metrics().get("requests_submitted");
+        }
+        assert!(
+            submitted < LINES as u64 / 2,
+            "{submitted} of {LINES} lines submitted to a client that reads nothing"
+        );
+
+        // Once the client reads, every line is answered, in order.
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let reader = std::io::BufReader::new(stream);
+        let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+        assert_eq!(lines.len(), LINES);
+        for (i, got) in lines.iter().enumerate() {
+            let want = if i % 10 == 9 { 1 } else { 4095 };
+            let head = format!(r#"{{"outcome":"complete","count":{want},"#);
+            assert!(got.starts_with(&head), "line {i}: {}", got.get(..200).unwrap_or(got));
+        }
         server.join().unwrap().unwrap();
         svc.shutdown();
     }

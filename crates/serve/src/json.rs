@@ -125,7 +125,9 @@ pub fn num(v: u64) -> Json {
     Json::Num(v as f64)
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Appends `n` as a JSON number: integral values below 9e15 print
+/// without a fraction, and a non-finite value prints as `null`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no Infinity/NaN; the only non-finite number this
         // service produces is an unbounded admission threshold.
@@ -137,7 +139,9 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string, escaping `"`, `\` and every
+/// control character.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

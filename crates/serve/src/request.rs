@@ -7,10 +7,11 @@
 //! in-process callers hold them directly, the line protocol maps them
 //! through [`parse_request`] / [`render_response`].
 
-use crate::json::{self, num, Json};
+use crate::json::{self, Json};
 use fpm::types::MineKind;
 use fpm::{ItemsetCount, PatternQuery, RuleSpec, TransactionDb};
 use quest::{Dataset, Scale};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -327,45 +328,51 @@ pub fn parse_request(line: &str) -> Result<MineRequest, String> {
     })
 }
 
-/// Renders one response line of the wire protocol (no trailing newline).
+/// Renders one response line of the wire protocol (no trailing newline)
+/// straight into one pre-sized `String`; no [`Json`] tree is built.
+/// Strings and the admission bound go through `json`'s own escaping and
+/// number rules. Every other number is an integer and prints exactly,
+/// which matches the `f64`-backed [`Json`] printer below 2^53.
 pub fn render_response(resp: &MineResponse) -> String {
-    let mut members = vec![
-        ("outcome".to_string(), Json::Str(resp.outcome.label().into())),
-        ("count".to_string(), num(resp.count)),
-    ];
+    let patterns = resp.patterns.as_deref();
+    let mut out = String::with_capacity(
+        256 + resp.reason.as_ref().map_or(0, String::len) + patterns.map_or(0, |p| 40 * p.len()),
+    );
+    out.push_str("{\"outcome\":");
+    json::write_str(resp.outcome.label(), &mut out);
+    write!(out, ",\"count\":{}", resp.count).expect("write to String cannot fail");
     if let Some(reason) = &resp.reason {
-        members.push(("reason".to_string(), Json::Str(reason.clone())));
+        out.push_str(",\"reason\":");
+        json::write_str(reason, &mut out);
     }
-    if let Some(patterns) = &resp.patterns {
-        let arr = patterns
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    (
-                        "items".to_string(),
-                        Json::Arr(p.items.iter().map(|&i| num(i as u64)).collect()),
-                    ),
-                    ("support".to_string(), num(p.support)),
-                ])
-            })
-            .collect();
-        members.push(("patterns".to_string(), Json::Arr(arr)));
+    if let Some(patterns) = patterns {
+        out.push_str(",\"patterns\":[");
+        for (i, p) in patterns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"items\":[");
+            for (j, item) in p.items.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write!(out, "{item}").expect("write to String cannot fail");
+            }
+            write!(out, "],\"support\":{}}}", p.support).expect("write to String cannot fail");
+        }
+        out.push(']');
     }
     let s = &resp.stats;
-    members.push((
-        "stats".to_string(),
-        Json::Obj(vec![
-            ("emitted".to_string(), num(s.emitted)),
-            ("truncated".to_string(), Json::Bool(s.truncated)),
-            ("cache_hit".to_string(), Json::Bool(s.cache_hit)),
-            ("coalesced".to_string(), Json::Bool(s.coalesced)),
-            ("queue_ms".to_string(), num(s.queue_ms)),
-            ("mine_ms".to_string(), num(s.mine_ms)),
-            ("service_us".to_string(), num(s.service_us)),
-            ("candidate_bound".to_string(), Json::Num(s.candidate_bound)),
-        ]),
-    ));
-    Json::Obj(members).render()
+    write!(
+        out,
+        ",\"stats\":{{\"emitted\":{},\"truncated\":{},\"cache_hit\":{},\"coalesced\":{},\
+         \"queue_ms\":{},\"mine_ms\":{},\"service_us\":{},\"candidate_bound\":",
+        s.emitted, s.truncated, s.cache_hit, s.coalesced, s.queue_ms, s.mine_ms, s.service_us
+    )
+    .expect("write to String cannot fail");
+    json::write_num(s.candidate_bound, &mut out);
+    out.push_str("}}");
+    out
 }
 
 #[cfg(test)]
@@ -502,6 +509,70 @@ mod tests {
         assert_eq!(p.get("support").unwrap().as_u64(), Some(3));
         let stats = v.get("stats").unwrap();
         assert_eq!(stats.get("candidate_bound").unwrap().as_u64(), Some(7));
+    }
+
+    /// Every outcome × patterns on/off × reason on/off × five admission
+    /// bounds, plus an empty pattern list; counts and stats reach
+    /// 2^53 - 1, item ids reach `u32::MAX`, and the reason needs every
+    /// kind of escape.
+    fn golden_cases() -> Vec<MineResponse> {
+        let outcomes = [
+            Outcome::Complete,
+            Outcome::Cancelled,
+            Outcome::DeadlineExceeded,
+            Outcome::Rejected,
+            Outcome::Failed,
+        ];
+        let bounds = [0.0, 7.0, 2.5, 1.5e30, f64::INFINITY];
+        let patterns = Arc::new(vec![
+            ItemsetCount { items: vec![2], support: 3 },
+            ItemsetCount { items: vec![0, u32::MAX], support: (1 << 53) - 1 },
+            ItemsetCount { items: vec![], support: 0 },
+        ]);
+        let reason = "say \"hi\"\nthen \\ \t\r\u{1}\u{1f} café → ∞";
+        let mut cases = Vec::new();
+        for outcome in outcomes {
+            for with_patterns in [false, true] {
+                for with_reason in [false, true] {
+                    for bound in bounds {
+                        let i = cases.len() as u64;
+                        cases.push(MineResponse {
+                            outcome,
+                            patterns: with_patterns.then(|| Arc::clone(&patterns)),
+                            count: i * 1_000_003,
+                            reason: with_reason.then(|| reason.to_string()),
+                            stats: MineStats {
+                                emitted: i,
+                                truncated: i % 2 == 1,
+                                cache_hit: i.is_multiple_of(3),
+                                coalesced: i.is_multiple_of(5),
+                                queue_ms: i * 7,
+                                mine_ms: 1000 + i,
+                                service_us: (1 << 53) - 1 - i,
+                                candidate_bound: bound,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+        cases.push(MineResponse {
+            patterns: Some(Arc::new(Vec::new())),
+            ..MineResponse::rejected("", MineStats::default())
+        });
+        cases
+    }
+
+    #[test]
+    fn renders_the_golden_bytes() {
+        // One line per case, as the `Json`-tree printer rendered it; the
+        // direct writer must reproduce every byte.
+        let golden = include_str!("../tests/render_response.golden");
+        let cases = golden_cases();
+        assert_eq!(golden.lines().count(), cases.len());
+        for (i, (case, want)) in cases.iter().zip(golden.lines()).enumerate() {
+            assert_eq!(render_response(case), want, "case {i}");
+        }
     }
 
     #[test]

@@ -61,8 +61,9 @@
 //! persisted artifacts (`fpm-store`): each one that loads cleanly —
 //! every section checksum-verified, fingerprint cross-checked against
 //! the database rebuilt from its raw section — registers its named
-//! dataset (so the first request skips generation) and seeds the owning
-//! shard's cache partition with the artifact's generation-live results.
+//! dataset with that fingerprint (so no request for it generates or
+//! hashes the dataset) and seeds the owning shard's cache partition
+//! with the artifact's generation-live results.
 //! A damaged artifact is counted (`store_integrity_failures`) and
 //! skipped — the service falls back to the ordinary cold path, which
 //! chaos site #7 (`artifact-corruption`) exercises seed by seed.
@@ -76,12 +77,13 @@ use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
 use fpm::metrics::MetricSet;
 use fpm::{CollectSink, ItemsetCount, PatternQuery, QueryKey, TransactionDb};
+use quest::{Dataset, Scale};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`MineService`].
@@ -181,6 +183,8 @@ struct Job {
     control: Arc<MineControl>,
     submitted: Instant,
     tx: mpsc::Sender<MineResponse>,
+    /// The submitting thread, unparked once the response is sent.
+    waker: Thread,
 }
 
 struct QueueState {
@@ -208,18 +212,26 @@ struct Shard {
 struct Inner {
     cfg: ServeConfig,
     shards: Vec<Shard>,
-    /// Named (generated) datasets, keyed by `(label, scale factor)` —
-    /// generating DS1 once per server instead of once per request.
-    /// Shared across shards: the transactions are immutable.
-    datasets: Mutex<BTreeMap<(&'static str, usize), Arc<TransactionDb>>>,
-    /// Datasets the store layer tracks, keyed by artifact file stem:
-    /// the spec plus the artifact generation it was loaded at (0 for
-    /// datasets first seen in this process). Shutdown flushes exactly
-    /// these. Only populated when `cfg.store_dir` is set.
-    store_reg: Mutex<BTreeMap<String, (DatasetSpec, u64)>>,
+    /// Named datasets, each generated (or rebuilt by warm start) and
+    /// fingerprinted once per process, then shared across shards: the
+    /// transactions are immutable. The shutdown flush persists each
+    /// entry's cached results.
+    datasets: Mutex<BTreeMap<(Dataset, Scale), Registered>>,
     /// Test gate: while `true`, leaders park right before mining —
     /// giving deterministic tests a window in which followers attach.
     hold: AtomicBool,
+}
+
+/// One named dataset in the service's registry.
+#[derive(Clone)]
+struct Registered {
+    db: Arc<TransactionDb>,
+    /// `fingerprint(&db)`, computed once: at first resolution, or taken
+    /// from the artifact that warm start checked it against.
+    fingerprint: u64,
+    /// The store generation the dataset was loaded at (0 when first
+    /// generated in this process); the shutdown flush writes it back.
+    generation: u64,
 }
 
 /// A handle to one in-flight request: cancel it, then (or instead)
@@ -296,7 +308,6 @@ impl MineService {
             cfg,
             shards,
             datasets: Mutex::new(BTreeMap::new()),
-            store_reg: Mutex::new(BTreeMap::new()),
             hold: AtomicBool::new(false),
         });
         // Warm-start before any worker exists: the caches and dataset
@@ -356,6 +367,12 @@ impl MineService {
     /// Enqueues a request on its dataset's shard. Always returns a
     /// [`Ticket`]; queue-full and post-shutdown rejections are delivered
     /// through it so callers have one uniform wait path.
+    ///
+    /// A response sent from a worker also unparks the calling thread
+    /// ([`Thread::unpark`]), so a caller that polls
+    /// [`Ticket::try_wait`] between [`std::thread::park_timeout`]s
+    /// wakes as soon as its answer lands. To any other caller it is a
+    /// spurious wakeup, which std's blocking waits already tolerate.
     pub fn submit(&self, request: MineRequest) -> Ticket {
         // Only an identity request's budget is charged by the mine
         // itself; any other query mines the complete All set and
@@ -407,6 +424,7 @@ impl MineService {
             control,
             submitted,
             tx,
+            waker: std::thread::current(),
         });
         drop(q);
         shard.ready.notify_one();
@@ -474,10 +492,10 @@ impl MineService {
         min_support: u64,
         f: impl FnOnce(&mut ResultCache, &CacheKey) -> bool,
     ) -> bool {
-        let Ok(db) = resolve_dataset(&self.inner, spec) else {
+        let Ok((_, fp)) = resolve_dataset(&self.inner, spec) else {
             return false;
         };
-        let key: CacheKey = (fingerprint(&db), kernel.code(), min_support, QueryKey::default());
+        let key: CacheKey = (fp, kernel.code(), min_support, QueryKey::default());
         let Some(shard) = self.inner.shards.get(shard_of(spec, self.inner.shards.len())) else {
             return false;
         };
@@ -555,10 +573,12 @@ fn shard_of(spec: &DatasetSpec, shards: usize) -> usize {
     (fpm::faults::mix(spec_hash(spec)) % shards as u64) as usize
 }
 
-/// Stamps the caller-experienced latency and delivers the response.
+/// Stamps the caller-experienced latency, delivers the response and
+/// wakes the submitting thread.
 fn respond(job: Job, mut resp: MineResponse) {
     resp.stats.service_us = job.submitted.elapsed().as_micros() as u64;
     let _ = job.tx.send(resp);
+    job.waker.unpark();
 }
 
 fn worker_loop(inner: &Inner, shard_idx: usize) {
@@ -783,8 +803,8 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         return;
     }
 
-    let db = match resolve_dataset(inner, &job.request.dataset) {
-        Ok(db) => db,
+    let (db, fp) = match resolve_dataset(inner, &job.request.dataset) {
+        Ok(resolved) => resolved,
         Err(reason) => {
             m.incr("requests_rejected");
             m.incr("rejected_bad_dataset");
@@ -793,7 +813,6 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         }
     };
     let query = job.request.query;
-    let fp = fingerprint(&db);
     let (kernel, minsup) = (job.request.kernel.code(), job.request.min_support);
     // The identity slot holds the complete All set: the unit of mining,
     // caching and single-flight. Every other query's answer is derived
@@ -991,19 +1010,6 @@ fn count_outcome(m: &MetricSet, outcome: Outcome) {
     });
 }
 
-/// Registry key for a named spec, e.g. `named-ds1-smoke`. Warm start
-/// and request resolution derive it the same way, so a dataset loaded
-/// from the store keeps its generation and is flushed once (to
-/// `Artifact::path_in`, where the next warm start scans).
-fn named_stem(dataset: &quest::Dataset, scale: &quest::Scale) -> String {
-    // Lowercase to match the wire labels (`ds1`).
-    format!(
-        "named-{}-{}",
-        dataset.label().to_ascii_lowercase(),
-        scale.label()
-    )
-}
-
 /// Deterministic shard attribution for an artifact that failed to load
 /// (its spec — and therefore its routing shard — is unreadable): hash
 /// the file stem the same FNV-then-mix way specs are routed.
@@ -1038,8 +1044,8 @@ fn warm_start(inner: &Inner, dir: &Path) {
         // Only named specs are warm-startable: inline/path artifacts
         // carry no identity the service could route a request by.
         let (Some(dataset), Some(scale)) = (
-            quest::Dataset::by_label(&artifact.spec.dataset),
-            quest::Scale::by_label(&artifact.spec.scale),
+            Dataset::by_label(&artifact.spec.dataset),
+            Scale::by_label(&artifact.spec.scale),
         ) else {
             continue;
         };
@@ -1058,20 +1064,16 @@ fn warm_start(inner: &Inner, dir: &Path) {
             m.incr("store_integrity_failures");
             continue;
         }
-        // Register the dataset: the first request skips generation.
-        inner
-            .datasets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((dataset.label(), scale.factor()), Arc::clone(&db));
-        inner
-            .store_reg
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                named_stem(&dataset, &scale),
-                (spec.clone(), artifact.generation),
-            );
+        // Register the dataset under the fingerprint just checked: no
+        // request for it generates or hashes the dataset.
+        inner.datasets.lock().unwrap_or_else(|e| e.into_inner()).insert(
+            (dataset, scale),
+            Registered {
+                db,
+                fingerprint: artifact.fingerprint,
+                generation: artifact.generation,
+            },
+        );
         m.incr("store_artifacts_loaded");
         let mut evicted = 0;
         let mut warmed = 0;
@@ -1100,12 +1102,12 @@ fn flush_store(inner: &Inner) {
     let Some(dir) = inner.cfg.store_dir.as_deref() else {
         return;
     };
-    let reg: Vec<(DatasetSpec, u64)> = inner
-        .store_reg
+    let reg: Vec<((Dataset, Scale), Registered)> = inner
+        .datasets
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .values()
-        .cloned()
+        .iter()
+        .map(|(key, r)| (*key, r.clone()))
         .collect();
     if reg.is_empty() {
         return;
@@ -1113,12 +1115,8 @@ fn flush_store(inner: &Inner) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    for (spec, generation) in reg {
-        let Ok(db) = resolve_dataset(inner, &spec) else {
-            continue;
-        };
-        let fp = fingerprint(&db);
-        let idx = shard_of(&spec, inner.shards.len());
+    for ((dataset, scale), r) in reg {
+        let idx = shard_of(&DatasetSpec::Named { dataset, scale }, inner.shards.len());
         let Some(shard) = inner.shards.get(idx) else {
             continue;
         };
@@ -1126,21 +1124,18 @@ fn flush_store(inner: &Inner) {
             let cache = shard.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache
                 .entries()
-                .filter(|(k, _)| k.0 == fp)
+                .filter(|(k, _)| k.0 == r.fingerprint)
                 .map(|(k, p)| (*k, Arc::clone(p)))
                 .collect()
         };
         if entries.is_empty() {
             continue;
         }
-        let spec_meta = match &spec {
-            DatasetSpec::Named { dataset, scale } => {
-                store::SpecMeta::named(&dataset.label().to_ascii_lowercase(), scale.label())
-            }
-            _ => continue,
-        };
-        let mut artifact = store::Artifact::build(spec_meta, &db);
-        artifact.generation = generation;
+        // Lowercase to match the wire labels (`ds1`).
+        let label = dataset.label().to_ascii_lowercase();
+        let spec_meta = store::SpecMeta::named(&label, scale.label());
+        let mut artifact = store::Artifact::build(spec_meta, &r.db);
+        artifact.generation = r.generation;
         let flushed = entries.len() as u64;
         for (key, patterns) in entries {
             artifact.push_result(key.1, key.2, key.3, (*patterns).clone());
@@ -1151,41 +1146,32 @@ fn flush_store(inner: &Inner) {
     }
 }
 
-fn resolve_dataset(inner: &Inner, spec: &DatasetSpec) -> Result<Arc<TransactionDb>, String> {
-    match spec {
-        DatasetSpec::Named { dataset, scale } => {
-            let key = (dataset.label(), scale.factor());
-            // With a store configured, track every named dataset seen so
-            // the shutdown flush knows what to persist.
-            if inner.cfg.store_dir.is_some() {
-                inner
-                    .store_reg
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entry(named_stem(dataset, scale))
-                    .or_insert_with(|| (spec.clone(), 0));
-            }
-            if let Some(db) = inner
-                .datasets
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)
-            {
-                return Ok(Arc::clone(db));
-            }
-            // Generate outside the lock: generation is the slow part and
-            // the generators are deterministic, so a racing duplicate
-            // insert is harmless.
-            let db = Arc::new(dataset.generate(*scale));
-            inner
-                .datasets
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, Arc::clone(&db));
-            Ok(db)
-        }
-        other => other.resolve().map(Arc::new),
+/// The transactions `spec` names and their fingerprint. A named dataset
+/// is generated and fingerprinted once, at its first resolution, unless
+/// warm start registered it; inline rows and files are read and hashed
+/// per request, a cost proportional to the request's own rows or file.
+fn resolve_dataset(inner: &Inner, spec: &DatasetSpec) -> Result<(Arc<TransactionDb>, u64), String> {
+    let DatasetSpec::Named { dataset, scale } = spec else {
+        let db = spec.resolve()?;
+        let fp = fingerprint(&db);
+        return Ok((Arc::new(db), fp));
+    };
+    let key = (*dataset, *scale);
+    if let Some(r) = inner.datasets.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        return Ok((Arc::clone(&r.db), r.fingerprint));
     }
+    // Generate and hash outside the lock: they are the slow part. The
+    // generators are deterministic, so a racing duplicate is identical
+    // and the first insert is kept.
+    let db = Arc::new(dataset.generate(*scale));
+    let fp = fingerprint(&db);
+    let mut datasets = inner.datasets.lock().unwrap_or_else(|e| e.into_inner());
+    let r = datasets.entry(key).or_insert(Registered {
+        db,
+        fingerprint: fp,
+        generation: 0,
+    });
+    Ok((Arc::clone(&r.db), r.fingerprint))
 }
 
 #[cfg(test)]
@@ -1818,6 +1804,76 @@ mod tests {
         assert_eq!(second.metrics().get("mined_runs"), 0, "warm start re-mined nothing");
         second.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_registry_fingerprints_each_named_dataset_once() {
+        let svc = MineService::start(ServeConfig::default());
+        for dataset in Dataset::ALL {
+            let spec = DatasetSpec::Named { dataset, scale: Scale::Smoke };
+            let (db, fp) = resolve_dataset(&svc.inner, &spec).expect("named specs resolve");
+            assert_eq!(fp, fingerprint(&dataset.generate(Scale::Smoke)), "{}", dataset.label());
+            let (again, fp_again) = resolve_dataset(&svc.inner, &spec).expect("registered");
+            assert!(Arc::ptr_eq(&db, &again), "{}: generated once", dataset.label());
+            assert_eq!(fp_again, fp);
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn warm_start_registers_the_artifact_fingerprint() {
+        let dir = std::env::temp_dir().join(format!(
+            "fpm-serve-registry-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = Dataset::Ds2.generate(Scale::Smoke);
+        let mut artifact = store::Artifact::build(store::SpecMeta::named("ds2", "smoke"), &db);
+        artifact.generation = 3;
+        artifact.store(&artifact.path_in(&dir)).unwrap();
+
+        let svc = MineService::start(ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        assert_eq!(svc.metrics().get("store_artifacts_loaded"), 1);
+        let entry = svc
+            .inner
+            .datasets
+            .lock()
+            .unwrap()
+            .get(&(Dataset::Ds2, Scale::Smoke))
+            .cloned()
+            .expect("warm start registers the dataset");
+        assert_eq!(entry.fingerprint, artifact.fingerprint);
+        assert_eq!(entry.generation, 3);
+        let spec = DatasetSpec::Named { dataset: Dataset::Ds2, scale: Scale::Smoke };
+        let (db, fp) = resolve_dataset(&svc.inner, &spec).unwrap();
+        assert!(Arc::ptr_eq(&db, &entry.db), "requests read the warm-started entry");
+        assert_eq!(fp, artifact.fingerprint);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_finished_ticket_unparks_its_submitter() {
+        // Poll the way the TCP frontend does. `wait()` would not show the
+        // wakeup: the channel's own park can consume the unpark.
+        let svc = MineService::start(ServeConfig::default());
+        let started = Instant::now();
+        let ticket = svc.submit(MineRequest::new(toy_spec(), Kernel::Lcm, 2));
+        let resp = loop {
+            if let Some(resp) = ticket.try_wait() {
+                break resp;
+            }
+            std::thread::park_timeout(Duration::from_secs(30));
+        };
+        assert_eq!(resp.outcome, Outcome::Complete);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(10), "the answer waited {took:?} for a wakeup");
+        svc.shutdown();
     }
 
     /// Spins until the global counter reaches `want` (bounded).
