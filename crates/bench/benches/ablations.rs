@@ -5,13 +5,13 @@
 //! * `tile_size` — LCM tile rows (paper: fit L1);
 //! * `wavefront_distance` — prefetch depth (paper Figure 5 uses 3);
 //! * `fptree_node_layout` — AoS vs delta-encoded traversal (P2);
-//! * `threads_{lcm,eclat,fpgrowth}` — worker count on the `fpm-par`
-//!   work-stealing runtime (thread-scaling of the shared scheduler).
+//! * `threads_{lcm,eclat,fpgrowth}` — `MinePlan::threads`: the serial
+//!   path at 1, the `fpm-par` work-stealing runtime above (thread-scaling
+//!   of the shared scheduler).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use also::aggregate::{ChunkPool, ChunkedList};
 use fpm::CountSink;
-use par::ParConfig;
 use quest::{Dataset, Scale};
 
 /// Builds many short chunked lists and times a full traversal — the
@@ -144,8 +144,7 @@ fn bench_threads(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    let plan = exec::MinePlan::new(cfg, minsup)
-                        .par_config(ParConfig::with_threads(threads));
+                    let plan = exec::MinePlan::new(cfg, minsup).threads(threads);
                     b.iter(|| {
                         let mut sink = CountSink::default();
                         plan.execute(&db, &mut sink);

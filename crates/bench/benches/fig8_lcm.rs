@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpm::CountSink;
-use fpm_bench::fig8::{variant_set, KernelConfig};
+use exec::KernelConfig;
+use fpm_bench::fig8::variant_set;
 use quest::{Dataset, Scale};
 
 fn bench(c: &mut Criterion) {
@@ -29,7 +30,7 @@ fn bench(c: &mut Criterion) {
                             KernelConfig::Eclat(c) => {
                                 eclat::mine(&db, minsup, c, &mut sink);
                             }
-                            KernelConfig::Fp(c) => {
+                            KernelConfig::FpGrowth(c) => {
                                 fpgrowth::mine(&db, minsup, c, &mut sink);
                             }
                         }

@@ -178,14 +178,14 @@ fn tiling_crossover() -> (f64, f64) {
             ..quest::QuestParams::default()
         });
         let base = crate::fig8::run_variant(
-            &crate::fig8::KernelConfig::Lcm(lcm::LcmConfig::baseline()),
+            &exec::KernelConfig::Lcm(lcm::LcmConfig::baseline()),
             &db,
             minsup,
             Timing::Simulated(Machine::m1()),
         )
         .0;
         let tiled = crate::fig8::run_variant(
-            &crate::fig8::KernelConfig::Lcm(lcm::LcmConfig::tile()),
+            &exec::KernelConfig::Lcm(lcm::LcmConfig::tile()),
             &db,
             minsup,
             Timing::Simulated(Machine::m1()),

@@ -9,6 +9,7 @@
 //! `best` search over the full pattern power set; the default searches
 //! the named variants only.
 
+use exec::KernelConfig;
 use fpm::{CountSink, TransactionDb};
 use memsim::{CacheProbe, Machine};
 use quest::{Dataset, Scale};
@@ -128,7 +129,7 @@ pub fn variant_set(kernel: &str, exhaustive: bool) -> Vec<(String, KernelConfig)
                         for pref in [false, true] {
                             v.push((
                                 combo_label(&[("lex", lex), ("reorg", reorg), ("pref", pref)]),
-                                KernelConfig::Fp(fpgrowth::FpConfig {
+                                KernelConfig::FpGrowth(fpgrowth::FpConfig {
                                     lex,
                                     adapt: reorg,
                                     aggregate: reorg,
@@ -142,7 +143,7 @@ pub fn variant_set(kernel: &str, exhaustive: bool) -> Vec<(String, KernelConfig)
             } else {
                 fpgrowth::variants()
                     .into_iter()
-                    .map(|(n, c)| (n.to_string(), KernelConfig::Fp(c)))
+                    .map(|(n, c)| (n.to_string(), KernelConfig::FpGrowth(c)))
                     .collect()
             }
         }
@@ -156,28 +157,6 @@ fn combo_label(parts: &[(&str, bool)]) -> String {
         "base".to_string()
     } else {
         on.join("+")
-    }
-}
-
-/// A kernel-config union for the harness.
-#[derive(Debug, Clone, Copy)]
-pub enum KernelConfig {
-    /// LCM configuration.
-    Lcm(lcm::LcmConfig),
-    /// Eclat configuration.
-    Eclat(eclat::EclatConfig),
-    /// FP-Growth configuration.
-    Fp(fpgrowth::FpConfig),
-}
-
-impl KernelConfig {
-    /// The executor-side equivalent, for plan-driven (parallel) runs.
-    fn to_exec(self) -> exec::KernelConfig {
-        match self {
-            KernelConfig::Lcm(c) => exec::KernelConfig::Lcm(c),
-            KernelConfig::Eclat(c) => exec::KernelConfig::Eclat(c),
-            KernelConfig::Fp(c) => exec::KernelConfig::FpGrowth(c),
-        }
     }
 }
 
@@ -201,14 +180,14 @@ pub fn run_variant(
                         KernelConfig::Eclat(c) => {
                             eclat::mine(db, minsup, c, &mut sink);
                         }
-                        KernelConfig::Fp(c) => {
+                        KernelConfig::FpGrowth(c) => {
                             fpgrowth::mine(db, minsup, c, &mut sink);
                         }
                     }
                 } else {
-                    let plan = exec::MinePlan::new(cfg.to_exec(), minsup)
-                        .par_config(par::ParConfig::with_threads(threads));
-                    plan.execute(db, &mut sink);
+                    exec::MinePlan::new(*cfg, minsup)
+                        .threads(threads)
+                        .execute(db, &mut sink);
                 }
                 patterns = sink.count;
                 patterns
@@ -225,7 +204,7 @@ pub fn run_variant(
                 KernelConfig::Eclat(c) => {
                     eclat::mine_probed(db, minsup, c, &mut probe, &mut sink);
                 }
-                KernelConfig::Fp(c) => {
+                KernelConfig::FpGrowth(c) => {
                     fpgrowth::mine_probed(db, minsup, c, &mut probe, &mut sink);
                 }
             }

@@ -9,8 +9,9 @@
 //! site fires. [`run_case`] then drives two phases on the DS1-smoke
 //! workload —
 //!
-//! 1. **exec**: a [`MinePlan`] through the work-stealing runtime (even
-//!    at one thread, so the worker-panic site is always armed);
+//! 1. **exec**: a [`MinePlan`] at the case's thread count (serial at
+//!    one thread, the work-stealing runtime above; both cross the
+//!    worker-panic site);
 //! 2. **serve**: a cold + warm request pair against a fresh two-shard
 //!    [`MineService`], exercising the cache-corruption,
 //!    admission-flap, and shard-stall sites — and, for the
@@ -39,7 +40,6 @@ use fpm::control::{MineControl, StopCause};
 use fpm::faults::{install, mix, FaultPlan, FaultSite};
 use fpm::types::MineKind;
 use fpm::{ItemsetCount, Kernel, PatternQuery, PatternSink, RecordSink, TransactionDb};
-use par::ParConfig;
 use quest::{Dataset, Scale};
 use serve::{DatasetSpec, MineRequest, MineResponse, MineService, Outcome, ServeConfig};
 use std::sync::{Mutex, OnceLock};
@@ -231,8 +231,8 @@ pub fn run_case(seed: u64) {
     serve_phase(&case);
 }
 
-/// Phase 1: the fault plan against `MinePlan::execute_controlled` on
-/// the work-stealing runtime.
+/// Phase 1: the fault plan against `MinePlan::execute_controlled` at
+/// the case's thread count.
 fn exec_phase(case: &Case) {
     // For a non-identity query, invariant (a)'s reference is the query
     // answer over the committed golden: the executor's query path emits
@@ -247,10 +247,10 @@ fn exec_phase(case: &Case) {
     let guard = install(FaultPlan::for_site(case.site, case.seed));
     let control = MineControl::unlimited();
     let mut sink = RecordSink::default();
-    // `par_config` (not `threads`) so one thread still schedules through
-    // the runtime — the worker-panic site must be armed at every count.
+    // Serial and runtime scheduling both cross the worker-panic site
+    // inside their per-task catch, so it is armed at every count.
     let summary = MinePlan::kernel(case.kernel, minsup)
-        .par_config(ParConfig::with_threads(case.threads))
+        .threads(case.threads)
         .query(case.query)
         .execute_controlled(dataset(), &control, &mut sink);
     let fired = guard.plan().fired();

@@ -10,7 +10,6 @@ use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
 use fpm::faults::{install, FaultPlan, FaultSite};
 use fpm::{RecordSink, TransactionDb};
-use par::ParConfig;
 
 fn small_db() -> TransactionDb {
     TransactionDb::from_transactions(vec![
@@ -42,7 +41,7 @@ fn a_panic_at_every_task_index_cuts_a_clean_prefix() {
                 let control = MineControl::unlimited();
                 let mut sink = RecordSink::default();
                 let summary = MinePlan::kernel(kernel, 2)
-                    .par_config(ParConfig::with_threads(threads))
+                    .threads(threads)
                     .execute_controlled(&db, &control, &mut sink);
                 let fired = guard.plan().fired();
                 drop(guard);

@@ -7,7 +7,6 @@
 use chaos::campaign::{self, golden, render, SCALE};
 use fpm::faults::{install, FaultPlan, FaultSite};
 use fpm::Kernel;
-use quest::Dataset;
 use serve::{DatasetSpec, MineRequest, MineService, Outcome, ServeConfig};
 
 const SHARDS: usize = 4;

@@ -388,6 +388,35 @@ fn serve_usage() -> ! {
     std::process::exit(2);
 }
 
+/// Applies one of the service flags `serve` and `loadgen` share
+/// (`--shards` … `--store-dir`) to `cfg`, reading its value through
+/// `value`. Returns `false` for any other flag; a bad value calls
+/// `usage`, which exits 2.
+fn service_flag(
+    cfg: &mut serve::ServeConfig,
+    flag: &str,
+    value: impl FnOnce() -> String,
+    usage: fn() -> !,
+) -> bool {
+    fn parse<T: std::str::FromStr>(v: String, usage: fn() -> !) -> T {
+        v.parse().unwrap_or_else(|_| usage())
+    }
+    match flag {
+        "--shards" => cfg.shards = parse(value(), usage),
+        "--workers" => cfg.workers = parse(value(), usage),
+        "--queue-depth" => cfg.queue_depth = parse(value(), usage),
+        "--cache" => cfg.cache_capacity = parse(value(), usage),
+        "--cache-bytes" => cfg.cache_max_bytes = parse(value(), usage),
+        "--cache-ttl-ms" => {
+            cfg.cache_ttl = Some(std::time::Duration::from_millis(parse(value(), usage)))
+        }
+        "--mine-threads" => cfg.mine_threads = parse(value(), usage),
+        "--store-dir" => cfg.store_dir = Some(std::path::PathBuf::from(value())),
+        _ => return false,
+    }
+    true
+}
+
 fn run_serve(argv: &[String]) -> ExitCode {
     let mut cfg = serve::ServeConfig::default();
     let mut addr: Option<String> = None;
@@ -402,35 +431,18 @@ fn run_serve(argv: &[String]) -> ExitCode {
         match argv[i].as_str() {
             "--stdio" => stdio = true,
             "--addr" => addr = Some(value(&mut i)),
-            "--shards" => cfg.shards = value(&mut i).parse().unwrap_or_else(|_| serve_usage()),
-            "--workers" => cfg.workers = value(&mut i).parse().unwrap_or_else(|_| serve_usage()),
-            "--queue-depth" => {
-                cfg.queue_depth = value(&mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--cache" => {
-                cfg.cache_capacity = value(&mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--cache-bytes" => {
-                cfg.cache_max_bytes = value(&mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--cache-ttl-ms" => {
-                let ms: u64 = value(&mut i).parse().unwrap_or_else(|_| serve_usage());
-                cfg.cache_ttl = Some(std::time::Duration::from_millis(ms));
-            }
-            "--mine-threads" => {
-                cfg.mine_threads = value(&mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
             "--max-bound" => {
                 cfg.max_candidate_bound = value(&mut i).parse().unwrap_or_else(|_| serve_usage())
             }
-            "--store-dir" => cfg.store_dir = Some(std::path::PathBuf::from(value(&mut i))),
             "--max-conns" => {
                 max_conns = Some(value(&mut i).parse().unwrap_or_else(|_| serve_usage()))
             }
             "--help" | "-h" => serve_usage(),
             other => {
-                eprintln!("unknown serve argument {other}");
-                serve_usage()
+                if !service_flag(&mut cfg, other, || value(&mut i), serve_usage) {
+                    eprintln!("unknown serve argument {other}");
+                    serve_usage()
+                }
             }
         }
         i += 1;
@@ -541,36 +553,13 @@ fn run_loadgen(argv: &[String]) -> ExitCode {
             "--query-mix" => {
                 cfg.query_mix = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
             }
-            "--shards" => {
-                svc_cfg.shards = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--workers" => {
-                svc_cfg.workers = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--queue-depth" => {
-                svc_cfg.queue_depth = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--cache" => {
-                svc_cfg.cache_capacity = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--cache-bytes" => {
-                svc_cfg.cache_max_bytes = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--cache-ttl-ms" => {
-                let ms: u64 = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage());
-                svc_cfg.cache_ttl = Some(std::time::Duration::from_millis(ms));
-            }
-            "--mine-threads" => {
-                svc_cfg.mine_threads = value(&mut i).parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--store-dir" => {
-                svc_cfg.store_dir = Some(std::path::PathBuf::from(value(&mut i)))
-            }
             "--out" => out = Some(value(&mut i)),
             "--help" | "-h" => loadgen_usage(),
             other => {
-                eprintln!("unknown loadgen argument {other}");
-                loadgen_usage()
+                if !service_flag(&mut svc_cfg, other, || value(&mut i), loadgen_usage) {
+                    eprintln!("unknown loadgen argument {other}");
+                    loadgen_usage()
+                }
             }
         }
         i += 1;

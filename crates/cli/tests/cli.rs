@@ -81,26 +81,36 @@ fn advise_mode_picks_a_variant() {
 #[test]
 fn threads_flag_matches_serial_output() {
     let path = write_dat("1 2 3\n1 2\n1 2 3\n2 3\n1 3\n");
-    for kernel in ["lcm", "eclat", "fpgrowth"] {
-        let serial = bin()
-            .args(["--input", path.to_str().unwrap(), "--minsup", "2", "--kernel", kernel])
-            .output()
-            .unwrap();
-        assert!(serial.status.success(), "{kernel}");
-        for threads in ["0", "1", "3"] {
-            let parallel = bin()
-                .args([
-                    "--input", path.to_str().unwrap(), "--minsup", "2", "--kernel", kernel,
-                    "--threads", threads,
-                ])
+    // The identity query streams; closed and top-k answers are derived
+    // from the complete frequent set through the same driver.
+    for query in [&[][..], &["--class", "closed"], &["--top-k", "10"]] {
+        for kernel in ["lcm", "eclat", "fpgrowth"] {
+            let serial = bin()
+                .args(["--input", path.to_str().unwrap(), "--minsup", "2", "--kernel", kernel])
+                .args(query)
                 .output()
                 .unwrap();
-            assert!(parallel.status.success(), "{kernel} --threads {threads}");
-            assert_eq!(
-                String::from_utf8_lossy(&parallel.stdout),
-                String::from_utf8_lossy(&serial.stdout),
-                "{kernel} --threads {threads}"
-            );
+            assert!(serial.status.success(), "{kernel} {query:?}");
+            assert!(!serial.stdout.is_empty(), "{kernel} {query:?}");
+            for threads in ["0", "1", "3"] {
+                let parallel = bin()
+                    .args([
+                        "--input", path.to_str().unwrap(), "--minsup", "2", "--kernel", kernel,
+                        "--threads", threads,
+                    ])
+                    .args(query)
+                    .output()
+                    .unwrap();
+                assert!(
+                    parallel.status.success(),
+                    "{kernel} {query:?} --threads {threads}"
+                );
+                assert_eq!(
+                    String::from_utf8_lossy(&parallel.stdout),
+                    String::from_utf8_lossy(&serial.stdout),
+                    "{kernel} {query:?} --threads {threads}"
+                );
+            }
         }
     }
 }
@@ -140,6 +150,22 @@ fn bad_arguments_fail_cleanly() {
     ] {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+    // `serve` and `loadgen` parse their shared service flags through one
+    // helper: a bad value is a usage error under both, before any
+    // service starts.
+    for flag in [
+        "--shards", "--workers", "--queue-depth", "--cache", "--cache-bytes", "--cache-ttl-ms",
+        "--mine-threads",
+    ] {
+        for cmd in [&["serve", "--stdio"][..], &["loadgen"]] {
+            let out = bin().args(cmd).args([flag, "abc"]).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{cmd:?} {flag} abc");
+        }
+    }
+    for cmd in [&["serve", "--stdio", "--store-dir"][..], &["loadgen", "--store-dir"]] {
+        let out = bin().args(cmd).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd:?} without a value");
     }
 }
 

@@ -34,7 +34,7 @@ use also::bits::{BitVec, OneRange};
 use also::simd::{and_into_count, Popcount};
 use fpm::control::MineControl;
 use fpm::vertical::VerticalBitDb;
-use fpm::{remap, ControlledSink, PatternSink, TransactionDb, TranslateSink};
+use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
 /// Pattern selection for an Eclat run.
@@ -138,8 +138,11 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     sink: &mut S,
 ) -> EclatStats {
     let control = MineControl::unlimited();
-    let ranked = remap(db, minsup);
-    let mut transactions = ranked.transactions.clone();
+    let RankedDb {
+        mut transactions,
+        map,
+        ..
+    } = remap(db, minsup);
     if cfg.lex {
         also::lexorder::lex_order(&mut transactions);
         // Charge the preprocessing to the simulated run: the reorder is a
@@ -153,9 +156,8 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
             probe.instr(10 * t.len() as u64);
         }
     }
-    let vdb = VerticalBitDb::from_ranked(&transactions, ranked.n_ranks());
-    let mut translate =
-        TranslateSink::new(&ranked.map, ControlledSink::new(&control, Forward(sink)));
+    let vdb = VerticalBitDb::from_ranked(&transactions, map.n_ranks());
+    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
     let mut miner = Miner {
         minsup: minsup.max(1),
         cfg: *cfg,
@@ -168,13 +170,6 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     };
     miner.run(&vdb);
     miner.stats
-}
-
-pub(crate) struct Forward<'a, S>(pub(crate) &'a mut S);
-impl<S: PatternSink> PatternSink for Forward<'_, S> {
-    fn emit(&mut self, itemset: &[u32], support: u64) {
-        self.0.emit(itemset, support);
-    }
 }
 
 /// A candidate column in the current equivalence class.

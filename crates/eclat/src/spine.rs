@@ -15,11 +15,11 @@
 
 use crate::hybrid::HybridMiner;
 use crate::tidlist::SparseStats;
-use crate::{EclatConfig, Forward};
+use crate::EclatConfig;
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
 use fpm::vertical::VerticalHybridDb;
-use fpm::{remap, PatternSink, RankMap, TransactionDb, TranslateSink};
+use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
 use memsim::Probe;
 
 /// The spine handle: a zero-sized type carrying the associated items.
@@ -41,19 +41,18 @@ impl KernelSpine for EclatSpine {
     type Task = u32;
 
     fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
-        let ranked = remap(db, minsup);
-        let mut transactions = ranked.transactions.clone();
+        let RankedDb {
+            mut transactions,
+            map,
+            ..
+        } = remap(db, minsup);
         if cfg.lex {
             // P1 still pays: lexicographic clustering turns scattered
             // chunks into run/dense chunks the per-chunk chooser exploits.
             also::lexorder::lex_order(&mut transactions);
         }
-        let hdb = VerticalHybridDb::from_ranked(&transactions, ranked.n_ranks());
-        EclatPrepared {
-            map: ranked.map,
-            hdb,
-            minsup,
-        }
+        let hdb = VerticalHybridDb::from_ranked(&transactions, map.n_ranks());
+        EclatPrepared { map, hdb, minsup }
     }
 
     fn root_tasks(prepared: &Self::Prepared) -> Vec<Self::Task> {
@@ -67,7 +66,7 @@ impl KernelSpine for EclatSpine {
         control: &MineControl,
         sink: &mut S,
     ) -> bool {
-        let mut translate = TranslateSink::new(&prepared.map, Forward(sink));
+        let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = HybridMiner {
             minsup: prepared.minsup.max(1),
             probe,

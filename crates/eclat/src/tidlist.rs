@@ -67,7 +67,7 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     sink: &mut S,
 ) -> SparseStats {
     let ranked = remap(db, minsup);
-    let mut translate = TranslateSink::new(&ranked.map, Fwd(sink));
+    let mut translate = TranslateSink::new(&ranked.map, sink);
     let minsup = minsup.max(1);
     match repr {
         SparseRepr::Hybrid => {
@@ -140,13 +140,6 @@ pub fn mine_auto<S: PatternSink>(
         }
     }
     repr
-}
-
-struct Fwd<'a, S>(&'a mut S);
-impl<S: PatternSink> PatternSink for Fwd<'_, S> {
-    fn emit(&mut self, itemset: &[u32], support: u64) {
-        self.0.emit(itemset, support);
-    }
 }
 
 struct Member {

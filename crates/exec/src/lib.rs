@@ -3,13 +3,15 @@
 //! PRs 1–3 grew each kernel a parallel, a controlled, and a probed
 //! entry point; this crate collapses that matrix into one execution
 //! path. A [`MinePlan`] names *what* to mine (kernel variant × minimum
-//! support) and *how* (serial or the `fpm-par` work-stealing runtime,
-//! deadline, pattern budget); [`MinePlan::execute`] is then the only
-//! place in the workspace that wires the [`KernelSpine`] contract,
-//! [`ControlledSink`] budget charging, and the deterministic
-//! rank-ordered merge together. Every caller — the serve layer, the
-//! CLI, benches, conformance tests — builds a plan instead of naming a
-//! kernel function (also-lint rule R6 `kernel-entry` enforces this).
+//! support × pattern query) and *how* (a thread count — serial at one,
+//! the `fpm-par` work-stealing runtime above — deadline, pattern
+//! budget); [`MinePlan::execute`] is then the only place in the
+//! workspace that wires the [`KernelSpine`] contract, [`ControlledSink`]
+//! budget charging, and the deterministic rank-ordered merge together,
+//! in one driver that identity and query plans share. Every caller —
+//! the serve layer, the CLI, benches, conformance tests — builds a plan
+//! instead of naming a kernel function (also-lint rule R6
+//! `kernel-entry` enforces this).
 //!
 //! The invariant inherited from PR 1 and kept by every plan: the
 //! emitted pattern sequence is **byte-identical** to the kernel's
@@ -40,9 +42,8 @@ use fpm::control::{MineControl, StopCause};
 use fpm::exec::KernelSpine;
 use fpm::query::TopKSink;
 use fpm::types::MineKind;
-use fpm::{CollectSink, ControlledSink, ItemsetCount, PatternQuery, PatternSink, TransactionDb};
+use fpm::{CollectSink, ControlledSink, PatternQuery, PatternSink, TransactionDb};
 use memsim::NullProbe;
-use par::ParConfig;
 use std::time::Duration;
 
 /// One kernel variant: which miner runs and with which ablation flags.
@@ -111,15 +112,6 @@ impl KernelConfig {
     }
 }
 
-/// How a plan schedules its root tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// In-order streaming on the calling thread.
-    Serial,
-    /// The `fpm-par` work-stealing runtime with a deterministic merge.
-    Parallel(ParConfig),
-}
-
 /// What one [`MinePlan::execute`] run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSummary {
@@ -144,15 +136,16 @@ impl ExecSummary {
 }
 
 /// A mining run, fully described: kernel variant × minimum support ×
-/// scheduling × limits. Build one, then [`execute`](MinePlan::execute)
-/// it against any database; the output reaching the sink is always the
-/// kernel's serial emission order (or, under a trip, a contiguous
-/// prefix of it).
+/// scheduling × limits × query. Build one, then
+/// [`execute`](MinePlan::execute) it against any database; the output
+/// reaching the sink is always the kernel's serial emission order (or,
+/// under a trip, a contiguous prefix of it) — for a query plan, the
+/// query's answer in output order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinePlan {
     config: KernelConfig,
     minsup: u64,
-    mode: Mode,
+    threads: usize,
     deadline: Option<Duration>,
     max_patterns: Option<u64>,
     query: PatternQuery,
@@ -164,7 +157,7 @@ impl MinePlan {
         MinePlan {
             config,
             minsup,
-            mode: Mode::Serial,
+            threads: 1,
             deadline: None,
             max_patterns: None,
             query: PatternQuery::all(),
@@ -193,28 +186,13 @@ impl MinePlan {
         &self.config
     }
 
-    /// Worker thread count: `1` streams serially on the calling thread,
-    /// `0` runs the work-stealing runtime with auto-detected
-    /// parallelism, `n > 1` with `n` workers. Output is byte-identical
-    /// across all values.
+    /// Worker thread count, the plan's only scheduling knob: `1` (the
+    /// default) streams serially on the calling thread, `0` runs the
+    /// `fpm-par` work-stealing runtime with auto-detected parallelism,
+    /// `n > 1` with `n` workers. Output is byte-identical across all
+    /// values.
     pub fn threads(self, n: usize) -> MinePlan {
-        match n {
-            1 => MinePlan {
-                mode: Mode::Serial,
-                ..self
-            },
-            n => self.par_config(ParConfig::with_threads(n)),
-        }
-    }
-
-    /// Full control over the work-stealing runtime (thread count and
-    /// steal granularity). Always schedules through the runtime, even
-    /// at one thread.
-    pub fn par_config(self, par_cfg: ParConfig) -> MinePlan {
-        MinePlan {
-            mode: Mode::Parallel(par_cfg),
-            ..self
-        }
+        MinePlan { threads: n, ..self }
     }
 
     /// Arms a wall-clock deadline, measured from the `execute` call.
@@ -225,8 +203,11 @@ impl MinePlan {
         }
     }
 
-    /// Arms an emitted-pattern budget: the run stops after delivering
-    /// the first `n` patterns of the serial order.
+    /// Caps the output at `n` patterns. An identity plan arms the cap as
+    /// the control's budget, so the miner stops after delivering the
+    /// first `n` patterns of the serial order. A query plan mines the
+    /// complete All set regardless and cuts its answer to the first `n`
+    /// results.
     pub fn max_patterns(self, n: u64) -> MinePlan {
         MinePlan {
             max_patterns: Some(n),
@@ -235,14 +216,13 @@ impl MinePlan {
     }
 
     /// Selects which slice of the frequent set the plan answers with
-    /// (DESIGN.md §15). The identity query keeps the streaming path; any
-    /// other query mines the complete All-class set first (so the prefix
-    /// contract holds unchanged), applies the query as a pure function
-    /// of the serial-order list, and delivers the answer through the
-    /// control — budgets charge per *query result*, and the output is
-    /// byte-identical at every thread count. A run whose collection
-    /// phase trips (deadline, cancel, task panic) delivers the empty
-    /// prefix rather than an unfounded partial answer.
+    /// (DESIGN.md §15). Any query but the identity mines the complete
+    /// All-class set through the same driver (so the prefix contract
+    /// holds unchanged), applies the query as a pure function of the
+    /// serial-order list, and delivers the answer — byte-identical at
+    /// every thread count. A run whose mine trips (deadline, cancel,
+    /// task panic) delivers the empty prefix rather than an unfounded
+    /// partial answer.
     pub fn query(self, query: PatternQuery) -> MinePlan {
         MinePlan { query, ..self }
     }
@@ -254,106 +234,100 @@ impl MinePlan {
 
     /// Runs the plan, delivering patterns (original item ids, serial
     /// emission order) to `sink`. Arms a fresh [`MineControl`] from the
-    /// plan's deadline and budget; use
-    /// [`execute_controlled`](MinePlan::execute_controlled) to share an
-    /// externally owned control (the serve layer's cancellation path).
+    /// plan's deadline and, for an identity plan, its `max_patterns`
+    /// budget; use [`execute_controlled`](MinePlan::execute_controlled)
+    /// to share an externally owned control (the serve layer's
+    /// cancellation path).
     pub fn execute<S: PatternSink>(&self, db: &TransactionDb, sink: &mut S) -> ExecSummary {
-        let control = MineControl::new(self.deadline, self.max_patterns);
+        let budget = self.max_patterns.filter(|_| self.query.is_all());
+        let control = MineControl::new(self.deadline, budget);
         self.execute_controlled(db, &control, sink)
     }
 
     /// [`execute`](MinePlan::execute) under a caller-owned
-    /// [`MineControl`] — arm deadlines/budgets on the control itself
-    /// (the plan's own `deadline`/`max_patterns` are ignored here).
+    /// [`MineControl`]. Arm deadlines and an identity plan's budget on
+    /// the control itself: the plan's own `deadline` is ignored here,
+    /// and its `max_patterns` only cuts a query plan's answer. A budget
+    /// on the control charges every mined pattern — the All set, for a
+    /// query plan — so arm one only for an identity plan, as serve does.
     pub fn execute_controlled<S: PatternSink>(
         &self,
         db: &TransactionDb,
         control: &MineControl,
         sink: &mut S,
     ) -> ExecSummary {
-        if !self.query.is_all() {
-            return self.execute_query(db, control, sink);
+        if self.query.is_all() {
+            let mut tally = Tally { inner: sink, emitted: 0 };
+            let complete = self.mine(db, control, &mut tally);
+            return ExecSummary {
+                complete,
+                emitted: tally.emitted,
+                stop_cause: control.stop_cause(),
+            };
         }
-        let mut tally = Tally { inner: sink, emitted: 0 };
-        let complete = match &self.config {
-            KernelConfig::Lcm(cfg) => {
-                drive::<lcm::LcmSpine, _>(db, cfg, self.minsup, self.mode, control, &mut tally)
+        // A pure top-k query selects while the serial order streams by:
+        // its sink raises the control's support floor as its heap fills,
+        // and its output equals the collect-then-select result by
+        // construction. Every other query collects the full set.
+        let (input, mined) = match (self.query.class, self.query.rules, self.query.top_k) {
+            (MineKind::All, None, Some(k)) => {
+                let mut top = TopKSink::new(k, control);
+                let mined = self.mine(db, control, &mut top);
+                (top.finish(), mined)
             }
-            KernelConfig::Eclat(cfg) => {
-                drive::<eclat::EclatSpine, _>(db, cfg, self.minsup, self.mode, control, &mut tally)
-            }
-            KernelConfig::FpGrowth(cfg) => {
-                drive::<fpgrowth::FpSpine, _>(db, cfg, self.minsup, self.mode, control, &mut tally)
+            _ => {
+                let mut all = CollectSink::default();
+                let mined = self.mine(db, control, &mut all);
+                (all.patterns, mined)
             }
         };
-        ExecSummary {
-            complete,
-            emitted: tally.emitted,
-            stop_cause: control.stop_cause(),
-        }
-    }
-
-    /// The non-identity query path: collect the complete All-class set
-    /// (deadline/cancel/panic still trip the collection cooperatively;
-    /// the budget is *not* charged while collecting), apply the query,
-    /// then deliver the answer through the control so the budget charges
-    /// exactly one unit per query result. Serial and parallel modes feed
-    /// the same serial-order list into [`PatternQuery::apply`], so the
-    /// delivered bytes are identical at every thread count.
-    fn execute_query<S: PatternSink>(
-        &self,
-        db: &TransactionDb,
-        control: &MineControl,
-        sink: &mut S,
-    ) -> ExecSummary {
-        let (all, collected) = self.collect_query_input(db, control);
-        if !collected {
-            // The collection tripped: a partial All-set cannot support
-            // closedness/rules/top-k claims, so the honest answer is the
-            // empty prefix with the stop cause attached.
+        if !mined {
+            // A partial All set cannot support closedness, rule or top-k
+            // claims, so the honest answer is the empty prefix with the
+            // stop cause attached.
             return ExecSummary {
                 complete: false,
                 emitted: 0,
                 stop_cause: control.stop_cause(),
             };
         }
-        let answer = self.query.apply(all, db.len() as u64);
-        let mut tally = Tally { inner: sink, emitted: 0 };
-        let mut controlled = ControlledSink::new(control, &mut tally);
-        for p in &answer {
-            controlled.emit(&p.items, p.support);
+        let answer = self.query.apply(input, db.len() as u64);
+        let cut = self
+            .max_patterns
+            .map_or(answer.len(), |n| answer.len().min(n as usize));
+        for p in answer.iter().take(cut) {
+            sink.emit(&p.items, p.support);
         }
-        let complete = controlled.suppressed == 0;
+        let truncated = cut < answer.len();
         ExecSummary {
-            complete,
-            emitted: tally.emitted,
-            stop_cause: control.stop_cause(),
+            complete: !truncated,
+            emitted: cut as u64,
+            stop_cause: if truncated {
+                Some(StopCause::BudgetExhausted)
+            } else {
+                control.stop_cause()
+            },
         }
     }
 
-    /// Collects the complete frequent set for the query path. For a pure
-    /// top-k query the serial mode streams through a [`TopKSink`], which
-    /// raises the control's dynamic support floor as its heap fills (its
-    /// output equals the collect-then-select result by construction);
-    /// every other shape collects the full set.
-    fn collect_query_input(
+    /// Mines the plan's complete All-class set into `sink` through
+    /// [`drive`]; returns `true` iff the full serial sequence arrived.
+    fn mine<S: PatternSink>(
         &self,
         db: &TransactionDb,
         control: &MineControl,
-    ) -> (Vec<ItemsetCount>, bool) {
-        let fast_top_k = match (self.query.class, self.query.rules, self.query.top_k) {
-            (MineKind::All, None, Some(k)) => Some(k),
-            _ => None,
-        };
+        sink: &mut S,
+    ) -> bool {
+        let (minsup, threads) = (self.minsup, self.threads);
         match &self.config {
             KernelConfig::Lcm(cfg) => {
-                collect::<lcm::LcmSpine>(db, cfg, self.minsup, self.mode, control, fast_top_k)
+                drive::<lcm::LcmSpine, _>(db, cfg, minsup, threads, control, sink)
             }
             KernelConfig::Eclat(cfg) => {
-                collect::<eclat::EclatSpine>(db, cfg, self.minsup, self.mode, control, fast_top_k)
+                drive::<eclat::EclatSpine, _>(db, cfg, minsup, threads, control, sink)
             }
             KernelConfig::FpGrowth(cfg) => {
-                collect::<fpgrowth::FpSpine>(db, cfg, self.minsup, self.mode, control, fast_top_k)
+                drive::<fpgrowth::FpSpine, _>(db, cfg, minsup, threads, control, sink)
             }
         }
     }
@@ -375,142 +349,73 @@ impl<S: PatternSink> PatternSink for Tally<'_, S> {
 
 /// The one generic driver behind every spine kernel: prepare once,
 /// enumerate root tasks in serial emission order, then either stream
-/// them in order (serial) or deal them to the work-stealing runtime and
-/// merge per-task buffers back in task order (parallel). Returns `true`
-/// iff the full serial sequence reached `sink`.
+/// them in order on the calling thread (`threads == 1`) or deal them to
+/// the work-stealing runtime and merge per-task buffers back in task
+/// order. Every emission is charged to `control`. Returns `true` iff the
+/// full serial sequence reached `sink`.
 fn drive<K: KernelSpine, S: PatternSink>(
     db: &TransactionDb,
     cfg: &K::Config,
     minsup: u64,
-    mode: Mode,
+    threads: usize,
     control: &MineControl,
     sink: &mut S,
 ) -> bool {
     let prepared = K::prepare(db, minsup, cfg);
     let tasks = K::root_tasks(&prepared);
-    match mode {
-        Mode::Serial => {
-            // One controlled sink around the caller's: emissions stream
-            // straight through in task order, each charged against the
-            // control's budget exactly as the kernels' retired serial
-            // controlled entry points did. A panicking task is caught
-            // at the task boundary: every emission is a whole line, so
-            // what already streamed is still a clean serial prefix, and
-            // the control records the failure as the first cause.
-            let mut controlled = ControlledSink::new(control, sink);
-            serial_tasks::<K, _>(&prepared, tasks, control, &mut controlled)
-                && controlled.suppressed == 0
-        }
-        Mode::Parallel(par_cfg) => {
-            // Each task mines into a private buffer whose completeness
-            // is tracked per task; the rank-ordered prefix replay then
-            // restores the serial sequence (or a contiguous prefix of
-            // it when anything tripped). The settled runtime hands a
-            // task panic back as a value — the failed task's buffer
-            // slot is None, so the replay cuts before it — and the
-            // control records it as the first cause instead of letting
-            // the unwind cross the mining API.
-            let prepared = &prepared;
-            let (buffers, panic) = par::run_with_state_until_settled(
-                tasks,
-                &par_cfg,
-                || control.should_stop(),
-                |_worker| (),
-                |(), task| {
-                    let mut controlled = ControlledSink::new(control, CollectSink::default());
-                    let done =
-                        K::mine_task(prepared, task, &mut NullProbe, control, &mut controlled);
-                    let complete = done && controlled.suppressed == 0;
-                    (controlled.into_inner().patterns, complete)
-                },
-            );
-            if panic.is_some() {
-                control.trip_panicked();
-            }
-            fpm::replay_merged_prefix(buffers, sink) && panic.is_none()
-        }
-    }
-}
-
-/// The query path's collection driver: like [`drive`], but the sink is
-/// *not* budget-charged — the control still trips collection on
-/// deadline/cancel/panic, and the returned flag says whether the full
-/// serial sequence was captured. Serial mode streams into `sink` (a
-/// [`CollectSink`] or the top-k fast path's [`TopKSink`]); parallel mode
-/// buffers per task and replay-merges in rank order, so both produce the
-/// same serial-order list.
-fn collect<K: KernelSpine>(
-    db: &TransactionDb,
-    cfg: &K::Config,
-    minsup: u64,
-    mode: Mode,
-    control: &MineControl,
-    fast_top_k: Option<u64>,
-) -> (Vec<ItemsetCount>, bool) {
-    let prepared = K::prepare(db, minsup, cfg);
-    let tasks = K::root_tasks(&prepared);
-    match mode {
-        Mode::Serial => match fast_top_k {
-            Some(k) => {
-                let mut sink = TopKSink::new(k, control);
-                let complete = serial_tasks::<K, _>(&prepared, tasks, control, &mut sink);
-                (sink.finish(), complete)
-            }
-            None => {
-                let mut sink = CollectSink::default();
-                let complete = serial_tasks::<K, _>(&prepared, tasks, control, &mut sink);
-                (sink.patterns, complete)
-            }
-        },
-        Mode::Parallel(par_cfg) => {
-            let prepared = &prepared;
-            let (buffers, panic) = par::run_with_state_until_settled(
-                tasks,
-                &par_cfg,
-                || control.should_stop(),
-                |_worker| (),
-                |(), task| {
-                    let mut sink = CollectSink::default();
-                    let done = K::mine_task(prepared, task, &mut NullProbe, control, &mut sink);
-                    (sink.patterns, done)
-                },
-            );
-            if panic.is_some() {
-                control.trip_panicked();
-            }
-            let mut merged = CollectSink::default();
-            let complete = fpm::replay_merged_prefix(buffers, &mut merged) && panic.is_none();
-            (merged.patterns, complete)
-        }
-    }
-}
-
-/// Streams root tasks in serial order into `sink` with panic capture,
-/// returning `true` iff every task ran to completion.
-fn serial_tasks<K: KernelSpine, S: PatternSink>(
-    prepared: &K::Prepared,
-    tasks: Vec<K::Task>,
-    control: &MineControl,
-    sink: &mut S,
-) -> bool {
-    let mut probe = NullProbe;
-    for task in tasks {
-        if control.should_stop() {
-            return false;
-        }
-        let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            K::mine_task(prepared, task, &mut probe, control, sink)
-        }));
-        match done {
-            Ok(true) => {}
-            Ok(false) => return false,
-            Err(_payload) => {
-                control.trip_panicked();
+    if threads == 1 {
+        // One controlled sink around the caller's: emissions stream
+        // straight through in task order, each charged against the
+        // control's budget. A panicking task is caught at the task
+        // boundary, as the runtime's tasks are, with the chaos
+        // worker-panic site crossed inside the catch: every emission is
+        // a whole line, so what already streamed is still a clean serial
+        // prefix, and the control records the failure as the first cause.
+        let mut controlled = ControlledSink::new(control, sink);
+        for (idx, task) in tasks.into_iter().enumerate() {
+            if control.should_stop() {
                 return false;
             }
+            let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if fpm::faults::worker_panic(idx) {
+                    panic!("chaos: injected worker panic at task {idx}");
+                }
+                K::mine_task(&prepared, task, &mut NullProbe, control, &mut controlled)
+            }));
+            match done {
+                Ok(true) => {}
+                Ok(false) => return false,
+                Err(_payload) => {
+                    control.trip_panicked();
+                    return false;
+                }
+            }
         }
+        return controlled.suppressed == 0;
     }
-    true
+    // Each task mines into a private buffer whose completeness is
+    // tracked per task; the rank-ordered prefix replay then restores the
+    // serial sequence (or a contiguous prefix of it when anything
+    // tripped). The runtime hands a task panic back as a value — the
+    // failed task's buffer slot is None, so the replay cuts before it —
+    // and the control records it as the first cause instead of letting
+    // the unwind cross the mining API.
+    let prepared = &prepared;
+    let (buffers, panic) = par::run(
+        tasks,
+        threads,
+        || control.should_stop(),
+        |task| {
+            let mut controlled = ControlledSink::new(control, CollectSink::default());
+            let done = K::mine_task(prepared, task, &mut NullProbe, control, &mut controlled);
+            let complete = done && controlled.suppressed == 0;
+            (controlled.into_inner().patterns, complete)
+        },
+    );
+    if panic.is_some() {
+        control.trip_panicked();
+    }
+    fpm::replay_merged_prefix(buffers, sink) && panic.is_none()
 }
 
 #[cfg(test)]
@@ -645,22 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_granularity_does_not_change_output() {
-        let db = toy();
-        let want = serial_reference(fpm::Kernel::Eclat, &db, 1);
-        for granularity in [1usize, 2, 8] {
-            let mut sink = RecordSink::default();
-            MinePlan::kernel(fpm::Kernel::Eclat, 1)
-                .par_config(ParConfig {
-                    n_threads: 4,
-                    steal_granularity: granularity,
-                })
-                .execute(&db, &mut sink);
-            assert_eq!(sink.bytes, want, "granularity={granularity}");
-        }
-    }
-
-    #[test]
     fn query_plans_match_oracle_and_are_thread_invariant() {
         use fpm::types::MineKind;
         use fpm::{naive, PatternQuery, RuleSpec};
@@ -767,20 +656,25 @@ mod tests {
     }
 
     #[test]
-    fn serial_top_k_raises_support_floor_through_control() {
+    fn top_k_raises_support_floor_through_control() {
         use fpm::PatternQuery;
         let db = toy();
-        let control = MineControl::unlimited();
-        let mut sink = CollectSink::default();
-        let summary = MinePlan::kernel(fpm::Kernel::Eclat, 1)
-            .query(PatternQuery::all().top_k(2))
-            .execute_controlled(&db, &control, &mut sink);
-        assert!(summary.complete);
-        assert_eq!(sink.patterns.len(), 2);
-        assert!(
-            control.support_floor() > 0,
-            "the streaming top-k path must publish its dynamic floor"
-        );
+        // A pure top-k selects through its streaming sink at every
+        // thread count: fed by the serial stream or by the replay.
+        for threads in [1usize, 3] {
+            let control = MineControl::unlimited();
+            let mut sink = CollectSink::default();
+            let summary = MinePlan::kernel(fpm::Kernel::Eclat, 1)
+                .query(PatternQuery::all().top_k(2))
+                .threads(threads)
+                .execute_controlled(&db, &control, &mut sink);
+            assert!(summary.complete);
+            assert_eq!(sink.patterns.len(), 2);
+            assert!(
+                control.support_floor() > 0,
+                "threads={threads}: the top-k path must publish its dynamic floor"
+            );
+        }
     }
 
     #[test]

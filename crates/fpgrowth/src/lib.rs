@@ -32,7 +32,7 @@ pub mod tree;
 pub use spine::FpSpine;
 
 use fpm::control::MineControl;
-use fpm::{remap, ControlledSink, PatternSink, TransactionDb, TranslateSink};
+use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 use tree::{FpTree, TreeRepr};
 
@@ -156,8 +156,11 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     sink: &mut S,
 ) -> FpStats {
     let control = MineControl::unlimited();
-    let ranked = remap(db, minsup);
-    let mut transactions = ranked.transactions.clone();
+    let RankedDb {
+        mut transactions,
+        map,
+        ..
+    } = remap(db, minsup);
     if cfg.lex {
         also::lexorder::lex_order(&mut transactions);
         // Charge the preprocessing to the simulated run: the reorder is a
@@ -171,14 +174,13 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
             probe.instr(10 * t.len() as u64);
         }
     }
-    let n_ranks = ranked.n_ranks();
+    let n_ranks = map.n_ranks();
     let mut tree = FpTree::new(n_ranks, cfg.repr());
     for t in &transactions {
         tree.insert(t, 1, probe);
     }
     tree.finalize();
-    let mut translate =
-        TranslateSink::new(&ranked.map, ControlledSink::new(&control, Forward(sink)));
+    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
     let mut miner = Miner {
         minsup: minsup.max(1),
         cfg: *cfg,
@@ -198,13 +200,6 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     };
     miner.mine_tree(&tree);
     miner.stats
-}
-
-pub(crate) struct Forward<'a, S>(pub(crate) &'a mut S);
-impl<S: PatternSink> PatternSink for Forward<'_, S> {
-    fn emit(&mut self, itemset: &[u32], support: u64) {
-        self.0.emit(itemset, support);
-    }
 }
 
 pub(crate) struct Miner<'a, P, S> {

@@ -9,10 +9,10 @@
 //! emission sequence of [`crate::mine`].
 
 use crate::tree::FpTree;
-use crate::{Forward, FpConfig, FpStats, Miner};
+use crate::{FpConfig, FpStats, Miner};
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
-use fpm::{remap, PatternSink, RankMap, TransactionDb, TranslateSink};
+use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
 /// The spine handle: a zero-sized type carrying the associated items.
@@ -36,19 +36,22 @@ impl KernelSpine for FpSpine {
     type Task = u32;
 
     fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
-        let ranked = remap(db, minsup);
-        let mut transactions = ranked.transactions.clone();
+        let RankedDb {
+            mut transactions,
+            map,
+            ..
+        } = remap(db, minsup);
         if cfg.lex {
             also::lexorder::lex_order(&mut transactions);
         }
-        let n_ranks = ranked.n_ranks();
+        let n_ranks = map.n_ranks();
         let mut tree = FpTree::new(n_ranks, cfg.repr());
         for t in &transactions {
             tree.insert(t, 1, &mut NullProbe);
         }
         tree.finalize();
         FpPrepared {
-            map: ranked.map,
+            map,
             tree,
             n_ranks,
             minsup: minsup.max(1),
@@ -72,7 +75,7 @@ impl KernelSpine for FpSpine {
         control: &MineControl,
         sink: &mut S,
     ) -> bool {
-        let mut translate = TranslateSink::new(&prepared.map, Forward(sink));
+        let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = Miner {
             minsup: prepared.minsup,
             cfg: prepared.cfg,

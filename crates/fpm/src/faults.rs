@@ -2,8 +2,9 @@
 //! and the `chaos` harness.
 //!
 //! Production code never branches on chaos state directly. Instead, the
-//! seven **injection sites** — a worker-task panic in the parallel
-//! runtime, artificial latency before a steal, a spurious
+//! seven **injection sites** — a root-task panic in the executor's
+//! serial loop or the parallel runtime, artificial latency before a
+//! steal, a spurious
 //! [`MineControl`](crate::control::MineControl) trip, corruption of a
 //! cached serve result, an admission-control flap, a stalled (or
 //! failed) shard worker in the serve layer, and damage to a persisted
@@ -29,8 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The seven named injection sites of the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// A task closure panics inside the work-stealing runtime
-    /// (`par::run_with_state_until_settled`).
+    /// A root task panics inside its unwind catch: in `fpm-exec`'s
+    /// serial task loop or a `par::run` worker, so the site is armed at
+    /// every thread count.
     WorkerPanic,
     /// An idle worker sleeps before scanning victims to steal.
     StealLatency,
@@ -288,9 +290,10 @@ pub use active::{install, PlanGuard};
 
 /// Injection site: should the task at `task_index` panic?
 ///
-/// Called by the parallel runtime inside its per-task unwind catch; the
-/// panic itself is raised at the call site so the payload names the
-/// task.
+/// Called inside each root task's unwind catch — by `fpm-exec`'s
+/// serial task loop and by the `par::run` workers — with the task's
+/// index in serial order; the panic itself is raised at the call site
+/// so the payload names the task.
 #[inline]
 pub fn worker_panic(task_index: usize) -> bool {
     #[cfg(feature = "chaos")]

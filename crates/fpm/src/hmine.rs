@@ -18,7 +18,6 @@
 
 use crate::remap::remap;
 use crate::sink::{PatternSink, TranslateSink};
-use crate::types::Item;
 use crate::TransactionDb;
 
 /// One threaded cell: an occurrence of an item inside a transaction,
@@ -74,7 +73,7 @@ pub fn mine<S: PatternSink>(db: &TransactionDb, minsup: u64, sink: &mut S) {
         tails[it] = p;
     }
 
-    let mut translate = TranslateSink::new(&ranked.map, Fwd(sink));
+    let mut translate = TranslateSink::new(&ranked.map, sink);
     let mut miner = HMiner {
         items: &items,
         end_of: &end_of,
@@ -102,13 +101,6 @@ pub fn mine<S: PatternSink>(db: &TransactionDb, minsup: u64, sink: &mut S) {
         if support >= minsup {
             miner.descend(r, &queue, support);
         }
-    }
-}
-
-struct Fwd<'a, S>(&'a mut S);
-impl<S: PatternSink> PatternSink for Fwd<'_, S> {
-    fn emit(&mut self, itemset: &[Item], support: u64) {
-        self.0.emit(itemset, support);
     }
 }
 

@@ -31,7 +31,6 @@ pub mod horizontal;
 pub mod io;
 pub mod metrics;
 pub mod naive;
-pub mod postfilter;
 pub mod query;
 pub mod remap;
 pub mod sink;
@@ -44,7 +43,7 @@ pub use db::TransactionDb;
 pub use query::{PatternQuery, QueryKey, Rule, RuleSpec};
 pub use remap::{remap, RankMap, RankedDb};
 pub use sink::{
-    replay_merged, replay_merged_prefix, CollectSink, ControlledSink, CountSink, LimitSink,
-    PatternSink, RecordSink, StatsSink, TranslateSink,
+    replay_merged_prefix, CollectSink, ControlledSink, CountSink, PatternSink, RecordSink,
+    StatsSink, TranslateSink,
 };
 pub use types::{Item, ItemsetCount, Kernel, MineKind, Tid};

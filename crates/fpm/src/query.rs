@@ -439,8 +439,9 @@ impl TopKHeap {
     }
 }
 
-/// A streaming top-k collector: the executor's serial fast path for
-/// `class = All, rules = None, top_k = Some(k)` queries. Every floor
+/// A streaming top-k collector: how the executor selects a
+/// `class = All, rules = None, top_k = Some(k)` query at every thread
+/// count, fed in serial order by the stream or the replay. Every floor
 /// raise is published through the shared [`MineControl`]
 /// ([`MineControl::raise_support_floor`]), and candidates already below
 /// the published floor are skipped before touching the heap.
@@ -746,6 +747,52 @@ mod tests {
                 canonicalize(naive::mine_kind(&db, minsup, MineKind::Maximal)),
                 "minsup={minsup}"
             );
+        }
+    }
+
+    #[test]
+    fn maximal_subset_of_closed_subset_of_all() {
+        let all = naive::mine(&toy(), 2);
+        let c = closed(all.clone());
+        let m = maximal(all.clone());
+        assert!(m.len() <= c.len() && c.len() <= all.len());
+        let cset: std::collections::HashSet<_> =
+            c.iter().map(|p| p.items.clone()).collect();
+        for p in &m {
+            assert!(cset.contains(&p.items), "maximal must be closed");
+        }
+    }
+
+    #[test]
+    fn empty_input() {
+        assert!(closed(vec![]).is_empty());
+        assert!(maximal(vec![]).is_empty());
+    }
+
+    #[test]
+    fn singletons_only() {
+        let ps = vec![
+            ItemsetCount { items: vec![0], support: 3 },
+            ItemsetCount { items: vec![1], support: 2 },
+        ];
+        assert_eq!(closed(ps.clone()).len(), 2);
+        assert_eq!(maximal(ps).len(), 2);
+    }
+
+    #[test]
+    fn preserves_serial_input_order() {
+        // The filters must keep survivors in input (serial emission)
+        // order — the executor's byte-identity depends on it.
+        let all = naive::mine(&toy(), 2);
+        let c = closed(all.clone());
+        let mut it = all.iter();
+        for p in &c {
+            assert!(it.any(|q| q == p), "closed output must be a subsequence");
+        }
+        let m = maximal(all.clone());
+        let mut it = all.iter();
+        for p in &m {
+            assert!(it.any(|q| q == p), "maximal output must be a subsequence");
         }
     }
 

@@ -127,25 +127,12 @@ impl<S: PatternSink> PatternSink for TranslateSink<'_, S> {
     }
 }
 
-/// Replays per-task pattern buffers into `sink` in buffer order — the
-/// deterministic merge half of the parallel runtime (`fpm-par`). Workers
-/// mine disjoint subtrees into private [`CollectSink`]s; the scheduler
-/// re-slots those buffers by task rank, and this replay then reproduces
-/// the exact emission sequence a serial run would have produced.
-pub fn replay_merged<S: PatternSink>(
-    buffers: impl IntoIterator<Item = Vec<ItemsetCount>>,
-    sink: &mut S,
-) {
-    for buffer in buffers {
-        for p in buffer {
-            sink.emit(&p.items, p.support);
-        }
-    }
-}
-
-/// The cancellation-aware variant of [`replay_merged`]: merges per-task
-/// buffers from a *controlled* parallel run back into serial emission
-/// order, truncating at the first task whose output may be incomplete.
+/// Replays per-task pattern buffers into `sink` in task order — the
+/// deterministic merge half of the parallel runtime (`fpm-par`): workers
+/// mine disjoint subtrees into private buffers, the scheduler re-slots
+/// them by task rank, and this replay reproduces the exact emission
+/// sequence a serial run would have produced, truncating at the first
+/// task whose output may be incomplete.
 ///
 /// Each slot is `None` if the scheduler abandoned the task (never ran),
 /// or `Some((buffer, complete))` where `complete` says the task observed
@@ -176,55 +163,6 @@ pub fn replay_merged_prefix<S: PatternSink>(
         }
     }
     true
-}
-
-/// Forwards the first `limit` patterns, then drops the rest. The cheap,
-/// local-only way to take a prefix of a miner's output — the service
-/// layer's `max_patterns` truncation and "only need the head" tests both
-/// ride on it. For *stopping the miner* early (not just dropping the
-/// tail) combine with a budgeted [`MineControl`] via [`ControlledSink`].
-#[derive(Debug, Clone)]
-pub struct LimitSink<S> {
-    inner: S,
-    limit: u64,
-    /// Patterns forwarded to the inner sink (`<= limit`).
-    pub emitted: u64,
-    /// Patterns dropped after the limit was reached.
-    pub suppressed: u64,
-}
-
-impl<S: PatternSink> LimitSink<S> {
-    /// Wraps `inner`, forwarding only the first `limit` emissions.
-    pub fn new(limit: u64, inner: S) -> Self {
-        LimitSink {
-            inner,
-            limit,
-            emitted: 0,
-            suppressed: 0,
-        }
-    }
-
-    /// Whether the limit was reached and at least one pattern dropped.
-    pub fn truncated(&self) -> bool {
-        self.suppressed > 0
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: PatternSink> PatternSink for LimitSink<S> {
-    #[inline]
-    fn emit(&mut self, itemset: &[Item], support: u64) {
-        if self.emitted < self.limit {
-            self.emitted += 1;
-            self.inner.emit(itemset, support);
-        } else {
-            self.suppressed += 1;
-        }
-    }
 }
 
 /// Gates every delivery through a shared [`MineControl`]: each emission
@@ -333,40 +271,6 @@ mod tests {
         b.emit(&[1, 2], 1);
         b.emit(&[], 1);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn limit_sink_forwards_exactly_the_prefix() {
-        let mut s = LimitSink::new(2, CollectSink::default());
-        s.emit(&[1], 3);
-        s.emit(&[1, 2], 2);
-        s.emit(&[2], 9);
-        s.emit(&[3], 1);
-        assert_eq!(s.emitted, 2);
-        assert_eq!(s.suppressed, 2);
-        assert!(s.truncated());
-        let got = s.into_inner().patterns;
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].items, vec![1]);
-        assert_eq!(got[1].items, vec![1, 2]);
-    }
-
-    #[test]
-    fn limit_sink_zero_limit_drops_all() {
-        let mut s = LimitSink::new(0, CountSink::default());
-        s.emit(&[1], 1);
-        assert_eq!(s.emitted, 0);
-        assert_eq!(s.suppressed, 1);
-        assert_eq!(s.into_inner().count, 0);
-    }
-
-    #[test]
-    fn limit_sink_under_limit_is_transparent() {
-        let mut s = LimitSink::new(10, CountSink::default());
-        s.emit(&[1], 1);
-        s.emit(&[2], 1);
-        assert!(!s.truncated());
-        assert_eq!(s.into_inner().count, 2);
     }
 
     #[test]

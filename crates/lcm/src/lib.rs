@@ -27,7 +27,7 @@ pub use miner::LcmStats;
 pub use spine::LcmSpine;
 
 use fpm::control::MineControl;
-use fpm::{remap, ControlledSink, PatternSink, TransactionDb, TranslateSink};
+use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
 /// Pattern selection for an LCM run.
@@ -142,8 +142,11 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     sink: &mut S,
 ) -> LcmStats {
     let control = MineControl::unlimited();
-    let ranked = remap(db, minsup);
-    let mut transactions = ranked.transactions.clone();
+    let RankedDb {
+        mut transactions,
+        map,
+        ..
+    } = remap(db, minsup);
     if cfg.lex {
         also::lexorder::lex_order(&mut transactions);
         // Charge the preprocessing to the simulated run: the reorder is a
@@ -157,19 +160,11 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
             probe.instr(10 * t.len() as u64);
         }
     }
-    let mut translate =
-        TranslateSink::new(&ranked.map, ControlledSink::new(&control, Forward(sink)));
+    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
     let mut miner =
-        miner::Miner::new(*cfg, minsup, ranked.n_ranks(), probe, &control, &mut translate);
+        miner::Miner::new(*cfg, minsup, map.n_ranks(), probe, &control, &mut translate);
     miner.run(&transactions);
     miner.stats
-}
-
-pub(crate) struct Forward<'a, S>(pub(crate) &'a mut S);
-impl<S: PatternSink> PatternSink for Forward<'_, S> {
-    fn emit(&mut self, itemset: &[u32], support: u64) {
-        self.0.emit(itemset, support);
-    }
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 use crate::miner::Miner;
 use crate::projdb::ProjDb;
 use crate::rmdup::{rm_dup_trans, BucketImpl};
-use crate::{Forward, LcmConfig};
+use crate::LcmConfig;
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
-use fpm::{remap, PatternSink, RankMap, TransactionDb, TranslateSink};
+use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
 /// The spine handle: a zero-sized type carrying the associated items.
@@ -40,12 +40,15 @@ impl KernelSpine for LcmSpine {
     type Task = (u32, u64);
 
     fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
-        let ranked = remap(db, minsup);
-        let mut transactions = ranked.transactions.clone();
+        let RankedDb {
+            mut transactions,
+            map,
+            ..
+        } = remap(db, minsup);
         if cfg.lex {
             also::lexorder::lex_order(&mut transactions);
         }
-        let n_ranks = ranked.n_ranks();
+        let n_ranks = map.n_ranks();
         let mut root = ProjDb::from_ranked(&transactions);
         root.heads = rm_dup_trans(
             &root.items,
@@ -65,7 +68,7 @@ impl KernelSpine for LcmSpine {
             })
             .collect();
         LcmPrepared {
-            map: ranked.map,
+            map,
             root,
             children,
             n_ranks,
@@ -85,7 +88,7 @@ impl KernelSpine for LcmSpine {
         control: &MineControl,
         sink: &mut S,
     ) -> bool {
-        let mut translate = TranslateSink::new(&prepared.map, Forward(sink));
+        let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = Miner::new(
             prepared.cfg,
             prepared.minsup,

@@ -32,8 +32,8 @@ pub struct FileCtx {
     /// Inside `crates/also` → R5 does not apply (that crate is the one
     /// place allowed to hold `unsafe` micro-optimizations).
     pub in_also: bool,
-    /// On the emission/merge path (sinks, postfilter, par runtime, the
-    /// plan executor) → R3 applies.
+    /// On the emission/merge path (sinks, the query filters, par
+    /// runtime, the plan executor) → R3 applies.
     pub emission_path: bool,
     /// Inside the executor (`crates/exec`), a kernel crate, or the
     /// `fpm` spine-contract module → R6 does not apply (these *own*

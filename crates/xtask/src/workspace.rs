@@ -12,8 +12,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Modules on the emission/merge path, where iteration order becomes
-/// output order: pattern sinks, the closed/maximal post-filter, the
-/// parallel runtime's merge, the plan executor (whose driver owns the
+/// output order: pattern sinks, the query filters (closed/maximal,
+/// rules, top-k), the parallel runtime's merge, the plan executor (whose driver owns the
 /// rank-ordered prefix replay), and the whole serve layer (its cache
 /// eviction, response rendering, and prefix merge all feed
 /// caller-visible output), plus the artifact store's encoder/decoder
@@ -23,7 +23,6 @@ use std::path::{Path, PathBuf};
 /// guarantee, so R3 (deterministic-iteration) applies to them.
 pub const EMISSION_PATHS: &[&str] = &[
     "crates/fpm/src/sink.rs",
-    "crates/fpm/src/postfilter.rs",
     "crates/fpm/src/query.rs",
     "crates/par/src/lib.rs",
     "crates/exec/src/lib.rs",
@@ -256,6 +255,28 @@ mod tests {
         assert!(classify(&root, "crates/serve/src/frontend.rs").panic_free_path);
         assert!(classify(&root, "crates/par/src/lib.rs").panic_free_path);
         assert!(!classify(&root, "crates/serve/src/cache.rs").panic_free_path);
+    }
+
+    #[test]
+    fn every_path_entry_names_an_existing_file_or_directory() {
+        // A deleted or renamed module must take its lint entry with it:
+        // a stale entry silently stops applying its rule.
+        let root = repo_root();
+        for list in [
+            EMISSION_PATHS,
+            PANIC_FREE_PATHS,
+            KERNEL_INTERNAL_FILES,
+            CHAOS_ZONE_FILES,
+        ] {
+            for rel in list {
+                assert!(root.join(rel).is_file(), "{rel} is not a file");
+            }
+        }
+        for list in [KERNEL_INTERNAL_PREFIXES, CHAOS_ZONE_PREFIXES] {
+            for rel in list {
+                assert!(root.join(rel).is_dir(), "{rel} is not a directory");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use also_fpm::exec::MinePlan;
 use also_fpm::fpm::{CollectSink, ItemsetCount, TransactionDb};
-use also_fpm::par::ParConfig;
 use also_fpm::quest::{Dataset, Scale};
 use also_fpm::{eclat, fpgrowth, lcm};
 use std::time::Instant;
@@ -23,7 +22,7 @@ fn report(
     label: &str,
     db: &TransactionDb,
     minsup: u64,
-    par_cfg: &ParConfig,
+    threads: usize,
     serial: impl Fn(&TransactionDb, u64, &mut CollectSink),
 ) {
     let t = Instant::now();
@@ -37,7 +36,7 @@ fn report(
         let mut sink = CollectSink::default();
         MinePlan::by_label(label, minsup)
             .expect("known kernel")
-            .par_config(*par_cfg)
+            .threads(threads)
             .execute(db, &mut sink);
         also_fpm::fpm::types::canonicalize(sink.patterns)
     };
@@ -56,22 +55,24 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0); // 0 = auto-detect
-    let par_cfg = ParConfig::with_threads(threads);
     let db = Dataset::Ds1.generate(Scale::Smoke);
     let minsup = Dataset::Ds1.support(Scale::Smoke);
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     println!(
-        "mining {} transactions at minsup {minsup} with {} worker(s)",
-        db.len(),
-        par_cfg.effective_threads(usize::MAX),
+        "mining {} transactions at minsup {minsup} with {workers} worker(s)",
+        db.len()
     );
 
-    report("lcm", "lcm", &db, minsup, &par_cfg, |db, ms, sink| {
+    report("lcm", "lcm", &db, minsup, threads, |db, ms, sink| {
         lcm::mine(db, ms, &lcm::LcmConfig::all(), sink);
     });
-    report("eclat", "eclat", &db, minsup, &par_cfg, |db, ms, sink| {
+    report("eclat", "eclat", &db, minsup, threads, |db, ms, sink| {
         eclat::mine(db, ms, &eclat::EclatConfig::all(), sink);
     });
-    report("fp-growth", "fpgrowth", &db, minsup, &par_cfg, |db, ms, sink| {
+    report("fp-growth", "fpgrowth", &db, minsup, threads, |db, ms, sink| {
         fpgrowth::mine(db, ms, &fpgrowth::FpConfig::all(), sink);
     });
     println!("all three kernels: parallel results identical to serial");

@@ -1,6 +1,7 @@
 //! Parallel-vs-serial conformance: for every kernel × ALSO variant ×
-//! thread count, executing a [`MinePlan`] on the `fpm-par` work-stealing
-//! runtime must produce *exactly* the serial kernel's output — same
+//! thread count, executing a [`MinePlan`] (serially at one thread, on the
+//! `fpm-par` work-stealing runtime above) must produce *exactly* the
+//! serial kernel's output — same
 //! itemsets, same supports — and the merged emission stream must be
 //! byte-identical across runs (the determinism guarantee of the
 //! rank-ordered merge).
@@ -12,7 +13,6 @@
 use exec::MinePlan;
 use fpm::types::canonicalize;
 use fpm::{CollectSink, ItemsetCount, RecordSink, TransactionDb};
-use par::ParConfig;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -53,13 +53,13 @@ fn serial(kernel: &str, variant: &str, db: &TransactionDb, minsup: u64) -> Vec<I
     canonicalize(s.patterns)
 }
 
-/// A plan forced through the work-stealing runtime (even at 1 thread).
-fn plan(kernel: &str, variant: &str, minsup: u64, p: &ParConfig) -> MinePlan {
+/// A plan for one kernel variant at `threads` workers.
+fn plan(kernel: &str, variant: &str, minsup: u64, threads: usize) -> MinePlan {
     MinePlan::by_label(kernel, minsup)
         .unwrap()
         .variant(variant)
         .unwrap()
-        .par_config(*p)
+        .threads(threads)
 }
 
 fn parallel(
@@ -67,10 +67,10 @@ fn parallel(
     variant: &str,
     db: &TransactionDb,
     minsup: u64,
-    p: &ParConfig,
+    threads: usize,
 ) -> Vec<ItemsetCount> {
     let mut s = CollectSink::default();
-    let summary = plan(kernel, variant, minsup, p).execute(db, &mut s);
+    let summary = plan(kernel, variant, minsup, threads).execute(db, &mut s);
     assert!(summary.complete, "{kernel}/{variant}: untripped run must complete");
     canonicalize(s.patterns)
 }
@@ -81,10 +81,9 @@ fn parallel(
 fn assert_conformance(db: &TransactionDb, minsup: u64) -> usize {
     let mut checked = 0;
     for &threads in &THREAD_COUNTS {
-        let p = ParConfig::with_threads(threads);
         for (kernel, variant) in variant_matrix() {
             assert_eq!(
-                parallel(kernel, variant, db, minsup, &p),
+                parallel(kernel, variant, db, minsup, threads),
                 serial(kernel, variant, db, minsup),
                 "{kernel}/{variant} threads={threads}"
             );
@@ -137,35 +136,13 @@ fn quest_database_conforms() {
     let expect = serial("lcm", "all", &db, 15);
     assert!(expect.len() > 20, "workload must be non-trivial");
     for &threads in &THREAD_COUNTS {
-        let p = ParConfig::with_threads(threads);
         for kernel in ["lcm", "eclat", "fpgrowth"] {
             assert_eq!(
-                parallel(kernel, "all", &db, 15, &p),
+                parallel(kernel, "all", &db, 15, threads),
                 serial(kernel, "all", &db, 15),
                 "{kernel} threads={threads}"
             );
         }
-    }
-}
-
-#[test]
-fn steal_granularity_does_not_change_results() {
-    let db = TransactionDb::from_transactions(
-        (0..50u32)
-            .map(|k| (0..12).filter(|i| (k + i) % 3 != 0).collect())
-            .collect(),
-    );
-    let expect = serial("lcm", "all", &db, 4);
-    for granularity in [1usize, 2, 8, 1000] {
-        let p = ParConfig {
-            n_threads: 4,
-            steal_granularity: granularity,
-        };
-        assert_eq!(
-            parallel("lcm", "all", &db, 4, &p),
-            expect,
-            "granularity={granularity}"
-        );
     }
 }
 
@@ -180,7 +157,6 @@ fn determinism_regression_at_4_threads() {
             .map(|k| (0..14).filter(|i| (k ^ i) % 3 != 0).collect())
             .collect(),
     );
-    let p = ParConfig::with_threads(4);
     let record = |run: &dyn Fn(&mut RecordSink)| {
         let mut sink = RecordSink::default();
         run(&mut sink);
@@ -188,7 +164,7 @@ fn determinism_regression_at_4_threads() {
         sink.bytes
     };
     for (kernel, variant) in variant_matrix() {
-        let planned = plan(kernel, variant, 3, &p);
+        let planned = plan(kernel, variant, 3, 4);
         let a = record(&|s| {
             planned.execute(&db, s);
         });
@@ -236,10 +212,9 @@ proptest! {
     ) {
         let db = TransactionDb::from_transactions(db);
         for &threads in &THREAD_COUNTS {
-            let p = ParConfig::with_threads(threads);
             for (kernel, variant) in variant_matrix() {
                 prop_assert_eq!(
-                    parallel(kernel, variant, &db, minsup, &p),
+                    parallel(kernel, variant, &db, minsup, threads),
                     serial(kernel, variant, &db, minsup),
                     "{}/{} threads={}", kernel, variant, threads
                 );

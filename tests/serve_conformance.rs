@@ -17,7 +17,6 @@ use fpm::control::MineControl;
 use fpm::{
     CollectSink, ItemsetCount, PatternQuery, PatternSink, RecordSink, RuleSpec, TransactionDb,
 };
-use par::ParConfig;
 use proptest::prelude::*;
 use serve::{DatasetSpec, FrontendConfig, Kernel, MineRequest, MineService, Outcome, ServeConfig};
 use std::io::{Read, Write};
@@ -71,7 +70,7 @@ fn controlled_parallel(
 ) -> (Vec<ItemsetCount>, bool) {
     let mut sink = CollectSink::default();
     let summary = MinePlan::kernel(kernel, minsup)
-        .par_config(ParConfig::with_threads(threads))
+        .threads(threads)
         .execute_controlled(db, control, &mut sink);
     (sink.patterns, summary.complete)
 }
