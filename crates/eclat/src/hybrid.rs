@@ -65,13 +65,6 @@ fn probe_set<P: Probe>(probe: &mut P, set: &TidSet, write: bool) {
 }
 
 impl<P: Probe, S: PatternSink> HybridMiner<'_, P, S> {
-    /// Serial full run: every root subtree in rank order.
-    pub(crate) fn run(&mut self, db: &VerticalHybridDb) {
-        for r in 0..db.n_items() as u32 {
-            self.mine_subtree(db, r);
-        }
-    }
-
     /// Mines the subtree of itemsets whose first (lowest-rank) item is
     /// `r` — the task granularity `EclatSpine` hands to `fpm-exec`.
     pub(crate) fn mine_subtree(&mut self, db: &VerticalHybridDb, r: u32) {

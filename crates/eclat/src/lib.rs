@@ -34,7 +34,7 @@ use also::bits::{BitVec, OneRange};
 use also::simd::{and_into_count, Popcount};
 use fpm::control::MineControl;
 use fpm::vertical::VerticalBitDb;
-use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
+use fpm::{remap_lex, PatternSink, RankedDb, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
 /// Pattern selection for an Eclat run.
@@ -126,10 +126,11 @@ pub fn mine<S: PatternSink>(
 
 /// [`mine`] with memory-access instrumentation (see [`memsim`]).
 ///
-/// These two serial entry points are the kernel's whole mining surface.
-/// Control (cancellation, deadlines, budgets) and parallelism are
-/// composed once, above the kernel, by `fpm-exec`'s `MinePlan` driving
-/// this crate's [`spine`] implementation.
+/// These two serial entry points mine the paper's bit matrix on a path
+/// of their own. This crate's [`spine`], which `fpm-exec`'s `MinePlan`
+/// drives under control (cancellation, deadlines, budgets) and in
+/// parallel, mines the hybrid containers instead (DESIGN.md §16), as
+/// does [`tidlist::mine_probed`] with [`tidlist::SparseRepr::Hybrid`].
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -137,34 +138,18 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     probe: &mut P,
     sink: &mut S,
 ) -> EclatStats {
-    let control = MineControl::unlimited();
     let RankedDb {
-        mut transactions,
-        map,
-        ..
-    } = remap(db, minsup);
-    if cfg.lex {
-        also::lexorder::lex_order(&mut transactions);
-        // Charge the preprocessing to the simulated run: the reorder is a
-        // real cost the paper weighs against the benefit ("lexicographic
-        // ordering is very time consuming" on very large inputs, §4.4).
-        // One streamed read+write pass plus sort work per item.
-        for t in &transactions {
-            let (a, l) = memsim::slice_span(t);
-            probe.read(a, l);
-            probe.write(a, l);
-            probe.instr(10 * t.len() as u64);
-        }
-    }
+        transactions, map, ..
+    } = remap_lex(db, minsup, cfg.lex, probe);
     let vdb = VerticalBitDb::from_ranked(&transactions, map.n_ranks());
-    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
+    let mut translate = TranslateSink::new(&map, sink);
     let mut miner = Miner {
         minsup: minsup.max(1),
         cfg: *cfg,
         probe,
         sink: &mut translate,
         stats: EclatStats::default(),
-        control: &control,
+        control: &MineControl::unlimited(),
         cut: false,
         prefix: Vec::new(),
     };

@@ -12,6 +12,9 @@
 //! sequence is unchanged: the class walk and minsup filter are
 //! representation-independent and supports are cardinalities, which the
 //! exec-conformance and chaos suites pin against the committed goldens.
+//! The serial hybrid miner, [`crate::tidlist::mine_probed`] with
+//! [`SparseRepr::Hybrid`](crate::tidlist::SparseRepr::Hybrid), is one
+//! `mine_tasks` call over every task.
 
 use crate::hybrid::HybridMiner;
 use crate::tidlist::SparseStats;
@@ -19,7 +22,7 @@ use crate::EclatConfig;
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
 use fpm::vertical::VerticalHybridDb;
-use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
+use fpm::{remap_lex, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
 use memsim::Probe;
 
 /// The spine handle: a zero-sized type carrying the associated items.
@@ -39,18 +42,21 @@ impl KernelSpine for EclatSpine {
     type Prepared = EclatPrepared;
     /// The first (lowest-rank) item of one root subtree.
     type Task = u32;
+    type Stats = SparseStats;
 
-    fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
+    /// Builds the hybrid columns. Only `cfg.lex` applies, and its P1
+    /// reorder is charged to `probe`: lexicographic clustering turns
+    /// scattered chunks into run/dense chunks the per-chunk chooser
+    /// exploits.
+    fn prepare<P: Probe>(
+        db: &TransactionDb,
+        minsup: u64,
+        cfg: &Self::Config,
+        probe: &mut P,
+    ) -> Self::Prepared {
         let RankedDb {
-            mut transactions,
-            map,
-            ..
-        } = remap(db, minsup);
-        if cfg.lex {
-            // P1 still pays: lexicographic clustering turns scattered
-            // chunks into run/dense chunks the per-chunk chooser exploits.
-            also::lexorder::lex_order(&mut transactions);
-        }
+            transactions, map, ..
+        } = remap_lex(db, minsup, cfg.lex, probe);
         let hdb = VerticalHybridDb::from_ranked(&transactions, map.n_ranks());
         EclatPrepared { map, hdb, minsup }
     }
@@ -59,13 +65,13 @@ impl KernelSpine for EclatSpine {
         (0..prepared.hdb.n_items() as u32).collect()
     }
 
-    fn mine_task<P: Probe, S: PatternSink>(
+    fn mine_tasks<P: Probe, S: PatternSink>(
         prepared: &Self::Prepared,
-        task: Self::Task,
+        tasks: &[Self::Task],
         probe: &mut P,
         control: &MineControl,
         sink: &mut S,
-    ) -> bool {
+    ) -> (SparseStats, bool) {
         let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = HybridMiner {
             minsup: prepared.minsup.max(1),
@@ -76,7 +82,12 @@ impl KernelSpine for EclatSpine {
             cut: false,
             prefix: Vec::new(),
         };
-        miner.mine_subtree(&prepared.hdb, task);
-        !miner.cut
+        for &r in tasks {
+            miner.mine_subtree(&prepared.hdb, r);
+            if miner.cut {
+                break;
+            }
+        }
+        (miner.stats, !miner.cut)
     }
 }

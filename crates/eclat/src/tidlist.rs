@@ -17,10 +17,9 @@
 //! the class prefix (`d(PX) = t(P) − t(PX)`), so deep recursion carries
 //! tiny sets even when tidsets are huge.
 
-use crate::hybrid::HybridMiner;
-use crate::EclatConfig;
+use crate::{EclatConfig, EclatSpine};
 use fpm::control::MineControl;
-use fpm::vertical::VerticalHybridDb;
+use fpm::exec::KernelSpine;
 use fpm::{remap, PatternSink, TransactionDb, TranslateSink};
 use memsim::{NullProbe, Probe};
 
@@ -58,7 +57,9 @@ pub fn mine<S: PatternSink>(
     mine_probed(db, minsup, repr, &mut NullProbe, sink)
 }
 
-/// [`mine`] with memory instrumentation.
+/// [`mine`] with memory instrumentation. The hybrid miner is the
+/// [`EclatSpine`]: prepare the columns without P1, then one
+/// `mine_tasks` call over every root task.
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -66,31 +67,19 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     probe: &mut P,
     sink: &mut S,
 ) -> SparseStats {
-    let ranked = remap(db, minsup);
-    let mut translate = TranslateSink::new(&ranked.map, sink);
-    let minsup = minsup.max(1);
     match repr {
         SparseRepr::Hybrid => {
-            // Build the per-chunk adaptive columns and run the container
-            // DFS (crate::hybrid): the bit-matrix class walk, same output.
-            let hdb = VerticalHybridDb::from_ranked(&ranked.transactions, ranked.n_ranks());
+            let prepared = EclatSpine::prepare(db, minsup, &EclatConfig::baseline(), probe);
+            let tasks = EclatSpine::root_tasks(&prepared);
             let control = MineControl::unlimited();
-            let mut miner = HybridMiner {
-                minsup,
-                probe,
-                sink: &mut translate,
-                stats: SparseStats::default(),
-                control: &control,
-                cut: false,
-                prefix: Vec::new(),
-            };
-            miner.run(&hdb);
-            miner.stats
+            EclatSpine::mine_tasks(&prepared, &tasks, probe, &control, sink).0
         }
         SparseRepr::Diffsets => {
             // Level 1 members carry tidsets, built in one scan of the
             // transactions; recursion converts to diffsets:
             // d(xy) = t(x) − t(y).
+            let ranked = remap(db, minsup);
+            let mut translate = TranslateSink::new(&ranked.map, sink);
             let mut lists: Vec<Vec<u32>> = vec![Vec::new(); ranked.n_ranks()];
             for (tid, t) in ranked.transactions.iter().enumerate() {
                 for &r in t {
@@ -108,7 +97,14 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
                 .collect();
             let mut stats = SparseStats::default();
             let mut prefix = Vec::new();
-            recurse_level1_diff(&class, &mut prefix, minsup, probe, &mut translate, &mut stats);
+            recurse_level1_diff(
+                &class,
+                &mut prefix,
+                minsup.max(1),
+                probe,
+                &mut translate,
+                &mut stats,
+            );
             stats
         }
     }

@@ -181,11 +181,6 @@ impl MinePlan {
         Ok(self)
     }
 
-    /// The plan's kernel configuration.
-    pub fn config(&self) -> &KernelConfig {
-        &self.config
-    }
-
     /// Worker thread count, the plan's only scheduling knob: `1` (the
     /// default) streams serially on the calling thread, `0` runs the
     /// `fpm-par` work-stealing runtime with auto-detected parallelism,
@@ -225,11 +220,6 @@ impl MinePlan {
     /// partial answer.
     pub fn query(self, query: PatternQuery) -> MinePlan {
         MinePlan { query, ..self }
-    }
-
-    /// The plan's pattern query.
-    pub fn pattern_query(&self) -> &PatternQuery {
-        &self.query
     }
 
     /// Runs the plan, delivering patterns (original item ids, serial
@@ -348,11 +338,11 @@ impl<S: PatternSink> PatternSink for Tally<'_, S> {
 }
 
 /// The one generic driver behind every spine kernel: prepare once,
-/// enumerate root tasks in serial emission order, then either stream
-/// them in order on the calling thread (`threads == 1`) or deal them to
-/// the work-stealing runtime and merge per-task buffers back in task
-/// order. Every emission is charged to `control`. Returns `true` iff the
-/// full serial sequence reached `sink`.
+/// enumerate root tasks in serial emission order, then mine them one
+/// `mine_tasks` call per task — streamed in order on the calling thread
+/// (`threads == 1`), or dealt to the work-stealing runtime with per-task
+/// buffers merged back in task order. Every emission is charged to
+/// `control`. Returns `true` iff the full serial sequence reached `sink`.
 fn drive<K: KernelSpine, S: PatternSink>(
     db: &TransactionDb,
     cfg: &K::Config,
@@ -361,7 +351,7 @@ fn drive<K: KernelSpine, S: PatternSink>(
     control: &MineControl,
     sink: &mut S,
 ) -> bool {
-    let prepared = K::prepare(db, minsup, cfg);
+    let prepared = K::prepare(db, minsup, cfg, &mut NullProbe);
     let tasks = K::root_tasks(&prepared);
     if threads == 1 {
         // One controlled sink around the caller's: emissions stream
@@ -380,11 +370,11 @@ fn drive<K: KernelSpine, S: PatternSink>(
                 if fpm::faults::worker_panic(idx) {
                     panic!("chaos: injected worker panic at task {idx}");
                 }
-                K::mine_task(&prepared, task, &mut NullProbe, control, &mut controlled)
+                K::mine_tasks(&prepared, &[task], &mut NullProbe, control, &mut controlled)
             }));
             match done {
-                Ok(true) => {}
-                Ok(false) => return false,
+                Ok((_, true)) => {}
+                Ok((_, false)) => return false,
                 Err(_payload) => {
                     control.trip_panicked();
                     return false;
@@ -407,7 +397,8 @@ fn drive<K: KernelSpine, S: PatternSink>(
         || control.should_stop(),
         |task| {
             let mut controlled = ControlledSink::new(control, CollectSink::default());
-            let done = K::mine_task(prepared, task, &mut NullProbe, control, &mut controlled);
+            let (_, done) =
+                K::mine_tasks(prepared, &[task], &mut NullProbe, control, &mut controlled);
             let complete = done && controlled.suppressed == 0;
             (controlled.into_inner().patterns, complete)
         },

@@ -32,7 +32,8 @@ pub mod tree;
 pub use spine::FpSpine;
 
 use fpm::control::MineControl;
-use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
+use fpm::exec::KernelSpine;
+use fpm::{PatternSink, TransactionDb};
 use memsim::{NullProbe, Probe};
 use tree::{FpTree, TreeRepr};
 
@@ -144,10 +145,12 @@ pub fn mine<S: PatternSink>(
 
 /// [`mine`] with memory instrumentation (see [`memsim`]).
 ///
-/// These two serial entry points are the kernel's whole mining surface.
-/// Control (cancellation, deadlines, budgets) and parallelism are
-/// composed once, above the kernel, by `fpm-exec`'s `MinePlan` driving
-/// this crate's [`spine`] implementation.
+/// These two serial entry points are the kernel's whole mining surface,
+/// and they mine through the kernel's [`spine`]: build the root tree,
+/// then one `mine_tasks` call over every header item, with the root tree
+/// counted in the returned stats. Control (cancellation, deadlines,
+/// budgets) and parallelism are composed once, above the kernel, by
+/// `fpm-exec`'s `MinePlan` driving the same spine.
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -155,51 +158,13 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     probe: &mut P,
     sink: &mut S,
 ) -> FpStats {
-    let control = MineControl::unlimited();
-    let RankedDb {
-        mut transactions,
-        map,
-        ..
-    } = remap(db, minsup);
-    if cfg.lex {
-        also::lexorder::lex_order(&mut transactions);
-        // Charge the preprocessing to the simulated run: the reorder is a
-        // real cost the paper weighs against the benefit ("lexicographic
-        // ordering is very time consuming" on very large inputs, §4.4).
-        // One streamed read+write pass plus sort work per item.
-        for t in &transactions {
-            let (a, l) = memsim::slice_span(t);
-            probe.read(a, l);
-            probe.write(a, l);
-            probe.instr(10 * t.len() as u64);
-        }
-    }
-    let n_ranks = map.n_ranks();
-    let mut tree = FpTree::new(n_ranks, cfg.repr());
-    for t in &transactions {
-        tree.insert(t, 1, probe);
-    }
-    tree.finalize();
-    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
-    let mut miner = Miner {
-        minsup: minsup.max(1),
-        cfg: *cfg,
-        probe,
-        sink: &mut translate,
-        stats: FpStats {
-            trees_built: 1,
-            nodes_built: tree.len() as u64,
-            ..FpStats::default()
-        },
-        control: &control,
-        cut: false,
-        prefix: Vec::new(),
-        counts: vec![0u64; n_ranks],
-        stamps: vec![0u32; n_ranks],
-        epoch: 0,
-    };
-    miner.mine_tree(&tree);
-    miner.stats
+    let prepared = FpSpine::prepare(db, minsup, cfg, probe);
+    let tasks = FpSpine::root_tasks(&prepared);
+    let (mut stats, _complete) =
+        FpSpine::mine_tasks(&prepared, &tasks, probe, &MineControl::unlimited(), sink);
+    stats.trees_built += 1;
+    stats.nodes_built += prepared.tree.len() as u64;
+    stats
 }
 
 pub(crate) struct Miner<'a, P, S> {
@@ -221,7 +186,7 @@ pub(crate) struct Miner<'a, P, S> {
 }
 
 impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
-    /// Mines one (conditional) tree: bottom-up over the header table.
+    /// Mines one conditional tree: bottom-up over its header table.
     fn mine_tree(&mut self, tree: &FpTree) {
         for item in (0..tree.n_ranks() as u32).rev() {
             self.mine_item(tree, item);

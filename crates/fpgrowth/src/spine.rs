@@ -4,16 +4,17 @@
 //!
 //! The header-table walk of the root FP-tree runs bottom-up (highest
 //! rank first), and each item's conditional tree is independent of
-//! every other's; one task per frequent header item, mined against the
-//! shared read-only root tree, concatenates in walk order to the serial
-//! emission sequence of [`crate::mine`].
+//! every other's: one task per frequent header item, mined against the
+//! shared read-only root tree. The serial [`crate::mine_probed`] is one
+//! `mine_tasks` call over every task, so task outputs concatenate in
+//! walk order to its emission sequence by construction.
 
 use crate::tree::FpTree;
 use crate::{FpConfig, FpStats, Miner};
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
-use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
-use memsim::{NullProbe, Probe};
+use fpm::{remap_lex, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
+use memsim::Probe;
 
 /// The spine handle: a zero-sized type carrying the associated items.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,7 +24,7 @@ pub struct FpSpine;
 /// plus the finalized root FP-tree.
 pub struct FpPrepared {
     map: RankMap,
-    tree: FpTree,
+    pub(crate) tree: FpTree,
     n_ranks: usize,
     minsup: u64,
     cfg: FpConfig,
@@ -34,20 +35,23 @@ impl KernelSpine for FpSpine {
     type Prepared = FpPrepared;
     /// One frequent header item (its conditional-tree subtree).
     type Task = u32;
+    type Stats = FpStats;
 
-    fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
+    /// Builds the root FP-tree, charging the P1 reorder and every insert
+    /// to `probe`.
+    fn prepare<P: Probe>(
+        db: &TransactionDb,
+        minsup: u64,
+        cfg: &Self::Config,
+        probe: &mut P,
+    ) -> Self::Prepared {
         let RankedDb {
-            mut transactions,
-            map,
-            ..
-        } = remap(db, minsup);
-        if cfg.lex {
-            also::lexorder::lex_order(&mut transactions);
-        }
+            transactions, map, ..
+        } = remap_lex(db, minsup, cfg.lex, probe);
         let n_ranks = map.n_ranks();
         let mut tree = FpTree::new(n_ranks, cfg.repr());
         for t in &transactions {
-            tree.insert(t, 1, &mut NullProbe);
+            tree.insert(t, 1, probe);
         }
         tree.finalize();
         FpPrepared {
@@ -68,13 +72,13 @@ impl KernelSpine for FpSpine {
             .collect()
     }
 
-    fn mine_task<P: Probe, S: PatternSink>(
+    fn mine_tasks<P: Probe, S: PatternSink>(
         prepared: &Self::Prepared,
-        task: Self::Task,
+        tasks: &[Self::Task],
         probe: &mut P,
         control: &MineControl,
         sink: &mut S,
-    ) -> bool {
+    ) -> (FpStats, bool) {
         let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = Miner {
             minsup: prepared.minsup,
@@ -89,7 +93,12 @@ impl KernelSpine for FpSpine {
             stamps: vec![0u32; prepared.n_ranks],
             epoch: 0,
         };
-        miner.mine_item(&prepared.tree, task);
-        !miner.cut
+        for &item in tasks {
+            miner.mine_item(&prepared.tree, item);
+            if miner.cut {
+                break;
+            }
+        }
+        (miner.stats, !miner.cut)
     }
 }

@@ -392,11 +392,6 @@ impl FpTree {
     pub fn item_of(&self, node: u32) -> u32 {
         self.item[node as usize]
     }
-
-    /// Direct parent lookup (test/debug).
-    pub fn parent_of(&self, node: u32) -> u32 {
-        self.parent[node as usize]
-    }
 }
 
 #[cfg(test)]

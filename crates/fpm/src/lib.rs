@@ -1,11 +1,11 @@
 //! # `fpm-core` — frequent-pattern-mining substrate
 //!
 //! The shared foundation beneath the mining kernels: the transaction
-//! model, frequency-rank remapping, the three in-memory database
-//! representations of the paper's Figure 3 (horizontal sparse arrays,
-//! vertical bit matrix, prefix tree — the tree lives with `fpm-fpgrowth`),
-//! FIMI `.dat` I/O, pattern sinks, and a brute-force reference miner used
-//! to validate everything else.
+//! model, frequency-rank remapping, the vertical representations of the
+//! paper's Figure 3 (bit matrix and hybrid containers; its horizontal
+//! arrays and prefix tree live with `fpm-lcm` and `fpm-fpgrowth`), FIMI
+//! `.dat` I/O, pattern sinks, and a brute-force reference miner used to
+//! validate everything else.
 //!
 //! ## The problem (paper §2.1)
 //!
@@ -27,7 +27,6 @@ pub mod db;
 pub mod exec;
 pub mod faults;
 pub mod hmine;
-pub mod horizontal;
 pub mod io;
 pub mod metrics;
 pub mod naive;
@@ -41,7 +40,7 @@ pub mod vertical;
 pub use control::{MineControl, StopCause};
 pub use db::TransactionDb;
 pub use query::{PatternQuery, QueryKey, Rule, RuleSpec};
-pub use remap::{remap, RankMap, RankedDb};
+pub use remap::{remap, remap_lex, RankMap, RankedDb};
 pub use sink::{
     replay_merged_prefix, CollectSink, ControlledSink, CountSink, PatternSink, RecordSink,
     StatsSink, TranslateSink,

@@ -1,7 +1,7 @@
 //! First-class pattern queries: class (all/closed/maximal), top-k by
-//! support, and association-rule thresholds, with a stable canonical
-//! encoding shared by the serve cache key and the store's on-disk
-//! result tags (DESIGN.md §15).
+//! support, and association-rule thresholds, with a lossless hashable
+//! key form ([`QueryKey`]) that widens the serve cache key and tags the
+//! store's on-disk results (DESIGN.md §15).
 //!
 //! A [`PatternQuery`] names *which slice* of the frequent set a caller
 //! wants; the executor always mines the complete set first (the prefix
@@ -51,10 +51,8 @@ impl RuleSpec {
 /// Which slice of the frequent set a caller wants.
 ///
 /// The default query (`All`, no top-k, no rules) is the identity — the
-/// executor's streaming fast path — and encodes as [`code`] 0 so
-/// pre-query cache keys and artifacts stay meaningful.
-///
-/// [`code`]: PatternQuery::code
+/// executor's streaming fast path — and keys as [`QueryKey::default`],
+/// so pre-query cache keys and artifacts stay meaningful.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternQuery {
     /// Pattern class: every frequent itemset, only closed, only maximal.
@@ -137,81 +135,6 @@ impl PatternQuery {
                 min_lift: f64::from_bits(l),
             }),
         })
-    }
-
-    /// The stable canonical byte encoding — the on-disk query tag
-    /// (store results section) and the input to [`code`].
-    ///
-    /// Layout: class code `u8`, top-k flag `u8` (+ `u64` LE when set),
-    /// rules flag `u8` (+ two `f64` bit patterns LE when set).
-    ///
-    /// [`code`]: PatternQuery::code
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![self.class.code()];
-        match self.top_k {
-            Some(k) => {
-                out.push(1);
-                out.extend_from_slice(&k.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        match self.rules {
-            Some(r) => {
-                out.push(1);
-                out.extend_from_slice(&r.min_confidence.to_bits().to_le_bytes());
-                out.extend_from_slice(&r.min_lift.to_bits().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out
-    }
-
-    /// Decodes [`encode`](PatternQuery::encode)'s layout; `None` on any
-    /// malformed tail (truncation, unknown class code, bad flag byte).
-    pub fn decode(bytes: &[u8]) -> Option<PatternQuery> {
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let s = bytes.get(pos..pos + n)?;
-            pos += n;
-            Some(s)
-        };
-        let class = MineKind::from_code(*take(1)?.first()?)?;
-        let top_k = match *take(1)?.first()? {
-            0 => None,
-            1 => Some(u64::from_le_bytes(take(8)?.try_into().ok()?)),
-            _ => return None,
-        };
-        let rules = match *take(1)?.first()? {
-            0 => None,
-            1 => {
-                let c = u64::from_le_bytes(take(8)?.try_into().ok()?);
-                let l = u64::from_le_bytes(take(8)?.try_into().ok()?);
-                Some(RuleSpec {
-                    min_confidence: f64::from_bits(c),
-                    min_lift: f64::from_bits(l),
-                })
-            }
-            _ => return None,
-        };
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(PatternQuery { class, top_k, rules })
-    }
-
-    /// A stable 64-bit digest of the canonical encoding (FNV-1a), with
-    /// the identity query pinned to `0` — the display/bench form of the
-    /// key, mirroring [`Kernel::code`](crate::Kernel::code) in spirit.
-    pub fn code(&self) -> u64 {
-        if self.is_all() {
-            return 0;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     /// A compact human-readable label, e.g. `closed+top10+rules(c0.6,l1.2)`.
@@ -659,13 +582,13 @@ mod tests {
     fn default_query_is_identity() {
         let q = PatternQuery::default();
         assert!(q.is_all());
-        assert_eq!(q.code(), 0);
+        assert_eq!(q.key(), QueryKey::default());
         let all = naive::mine(&toy(), 2);
         assert_eq!(q.apply(all.clone(), 5), all);
     }
 
     #[test]
-    fn key_and_encode_roundtrip() {
+    fn key_roundtrips_and_rejects_an_unknown_class() {
         let queries = [
             PatternQuery::all(),
             PatternQuery::class(MineKind::Closed),
@@ -675,32 +598,9 @@ mod tests {
                 .rules(RuleSpec { min_confidence: 0.6, min_lift: 1.1 }),
             PatternQuery::all().rules(RuleSpec::confidence(0.9)),
         ];
-        let mut codes = Vec::new();
         for q in queries {
             assert_eq!(PatternQuery::from_key(q.key()), Some(q), "{}", q.label());
-            assert_eq!(PatternQuery::decode(&q.encode()), Some(q), "{}", q.label());
-            codes.push(q.code());
         }
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), queries.len(), "codes must be distinct");
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        let good = PatternQuery::class(MineKind::Closed).top_k(4).encode();
-        assert!(PatternQuery::decode(&good).is_some());
-        // truncation, trailing garbage, bad class, bad flag
-        assert_eq!(PatternQuery::decode(&good[..good.len() - 1]), None);
-        let mut long = good.clone();
-        long.push(0);
-        assert_eq!(PatternQuery::decode(&long), None);
-        let mut bad_class = good.clone();
-        bad_class[0] = 9;
-        assert_eq!(PatternQuery::decode(&bad_class), None);
-        let mut bad_flag = good;
-        bad_flag[1] = 2;
-        assert_eq!(PatternQuery::decode(&bad_flag), None);
         assert_eq!(PatternQuery::from_key(QueryKey { class: 7, ..QueryKey::default() }), None);
     }
 

@@ -11,6 +11,7 @@
 
 use crate::db::TransactionDb;
 use crate::types::Item;
+use memsim::Probe;
 
 /// The item-id translation produced by [`remap`].
 #[derive(Debug, Clone)]
@@ -121,6 +122,26 @@ pub fn remap(db: &TransactionDb, minsup: u64) -> RankedDb {
                 .map_or(u32::MAX, |at| to_rank[at].1)
         })
     }
+}
+
+/// [`remap`], then, when `lex` is set, the paper's P1 pass: the ranked
+/// transactions are reordered lexicographically
+/// ([`also::lexorder::lex_order`]) and the reorder is charged to
+/// `probe`. It is a real cost the paper weighs against the benefit
+/// ("lexicographic ordering is very time consuming" on very large
+/// inputs, §4.4): one streamed read+write pass plus sort work per item.
+pub fn remap_lex<P: Probe>(db: &TransactionDb, minsup: u64, lex: bool, probe: &mut P) -> RankedDb {
+    let mut ranked = remap(db, minsup);
+    if lex {
+        also::lexorder::lex_order(&mut ranked.transactions);
+        for t in &ranked.transactions {
+            let (a, l) = memsim::slice_span(t);
+            probe.read(a, l);
+            probe.write(a, l);
+            probe.instr(10 * t.len() as u64);
+        }
+    }
+    ranked
 }
 
 /// Sorts `(item, support)` pairs into rank order: decreasing support,

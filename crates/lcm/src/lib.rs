@@ -27,8 +27,10 @@ pub use miner::LcmStats;
 pub use spine::LcmSpine;
 
 use fpm::control::MineControl;
-use fpm::{remap, ControlledSink, PatternSink, RankedDb, TransactionDb, TranslateSink};
+use fpm::exec::KernelSpine;
+use fpm::{PatternSink, TransactionDb};
 use memsim::{NullProbe, Probe};
+use rmdup::BucketImpl;
 
 /// Pattern selection for an LCM run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +105,15 @@ impl LcmConfig {
             tile_rows: Some(0),
         }
     }
+
+    /// The `rm_dup_trans` bucket layout P3 selects.
+    pub(crate) fn bucket_impl(&self) -> BucketImpl {
+        if self.aggregate {
+            BucketImpl::Aggregated
+        } else {
+            BucketImpl::Linked
+        }
+    }
 }
 
 /// The named variants benchmarked in Figure 8(a)/(b): `(label, config)`.
@@ -130,10 +141,12 @@ pub fn mine<S: PatternSink>(
 
 /// [`mine`] with memory instrumentation (see [`memsim`]).
 ///
-/// These two serial entry points are the kernel's whole mining surface.
-/// Control (cancellation, deadlines, budgets) and parallelism are
-/// composed once, above the kernel, by `fpm-exec`'s `MinePlan` driving
-/// this crate's [`spine`] implementation.
+/// These two serial entry points are the kernel's whole mining surface,
+/// and they mine through the kernel's [`spine`]: prepare the root, then
+/// one `mine_tasks` call over every root task, so P6.1 tiles the root's
+/// column walks across all its children. Control (cancellation,
+/// deadlines, budgets) and parallelism are composed once, above the
+/// kernel, by `fpm-exec`'s `MinePlan` driving the same spine.
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -141,30 +154,12 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
     probe: &mut P,
     sink: &mut S,
 ) -> LcmStats {
-    let control = MineControl::unlimited();
-    let RankedDb {
-        mut transactions,
-        map,
-        ..
-    } = remap(db, minsup);
-    if cfg.lex {
-        also::lexorder::lex_order(&mut transactions);
-        // Charge the preprocessing to the simulated run: the reorder is a
-        // real cost the paper weighs against the benefit ("lexicographic
-        // ordering is very time consuming" on very large inputs, §4.4).
-        // One streamed read+write pass plus sort work per item.
-        for t in &transactions {
-            let (a, l) = memsim::slice_span(t);
-            probe.read(a, l);
-            probe.write(a, l);
-            probe.instr(10 * t.len() as u64);
-        }
-    }
-    let mut translate = TranslateSink::new(&map, ControlledSink::new(&control, sink));
-    let mut miner =
-        miner::Miner::new(*cfg, minsup, map.n_ranks(), probe, &control, &mut translate);
-    miner.run(&transactions);
-    miner.stats
+    let prepared = LcmSpine::prepare(db, minsup, cfg, probe);
+    let tasks = LcmSpine::root_tasks(&prepared);
+    let (mut stats, _complete) =
+        LcmSpine::mine_tasks(&prepared, &tasks, probe, &MineControl::unlimited(), sink);
+    stats.trans_merged += prepared.root_merged;
+    stats
 }
 
 #[cfg(test)]

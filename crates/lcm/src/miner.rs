@@ -18,7 +18,7 @@
 //!   supernodes (see [`crate::rmdup`]).
 
 use crate::projdb::{OccEntry, ProjDb, TransHead};
-use crate::rmdup::{rm_dup_trans, BucketImpl};
+use crate::rmdup::rm_dup_trans;
 use crate::LcmConfig;
 use fpm::control::MineControl;
 use fpm::PatternSink;
@@ -204,41 +204,11 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
         }
     }
 
-    fn bucket_impl(&self) -> BucketImpl {
-        if self.cfg.aggregate {
-            BucketImpl::Aggregated
-        } else {
-            BucketImpl::Linked
-        }
-    }
-
-    /// Entry point: dedup the root database, build its occurrence lists,
-    /// compute root candidate supports, recurse.
-    pub fn run(&mut self, transactions: &[Vec<u32>]) {
-        let mut root = ProjDb::from_ranked(transactions);
-        let before = root.heads.len();
-        root.heads = rm_dup_trans(&root.items, std::mem::take(&mut root.heads), self.bucket_impl(), self.probe);
-        self.stats.trans_merged += (before - root.heads.len()) as u64;
-        root.build_occ(self.n_ranks, self.probe);
-        let children: Children = (0..self.n_ranks as u32)
-            .filter_map(|r| {
-                let s = root.support(r);
-                (s >= self.minsup).then_some((r, s))
-            })
-            .collect();
-        self.node(&root, &children);
-    }
-
-    /// Entry point for the parallel driver: processes an explicit subset
-    /// of root children against a shared, pre-built root projection.
-    pub(crate) fn run_children(&mut self, root: &ProjDb, children: &[(u32, u64)]) {
-        self.node(root, &children.to_vec());
-    }
-
     /// Processes one recursion node: `pdb` holds every transaction that
     /// contains the current prefix; `children` are the frequent extension
-    /// items with their supports.
-    fn node(&mut self, pdb: &ProjDb, children: &Children) {
+    /// items with their supports. The spine enters here with the root
+    /// projection and any run of its children.
+    pub(crate) fn node(&mut self, pdb: &ProjDb, children: &[(u32, u64)]) {
         self.stats.nodes += 1;
         // Tiled variant: compute every child's grandchild counts up front,
         // tile by tile (P6.1). Untiled: per child, on demand. A projection
@@ -364,7 +334,7 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
     fn calc_freq_tiled(
         &mut self,
         pdb: &ProjDb,
-        children: &Children,
+        children: &[(u32, u64)],
         tile_rows: usize,
     ) -> Vec<Children> {
         let n_cands = children.len();
@@ -455,7 +425,7 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
         child.heads = rm_dup_trans(
             &child.items,
             std::mem::take(&mut child.heads),
-            self.bucket_impl(),
+            self.cfg.bucket_impl(),
             self.probe,
         );
         self.stats.trans_merged += (before - child.heads.len()) as u64;

@@ -4,19 +4,20 @@
 //! The lattice below two different first-rank extensions is disjoint, so
 //! the root projection splits into one independent task per frequent
 //! first rank. Preparation builds the shared read-only root (projected
-//! database, duplicate merge, occurrence array) exactly once; each task
-//! then mines its subtree with a private `Miner`, and task outputs in
-//! rank order concatenate to the serial emission sequence of
-//! [`crate::mine`].
+//! database, duplicate merge, occurrence array) exactly once; each
+//! `mine_tasks` call then mines its tasks with a private `Miner`. The
+//! serial [`crate::mine_probed`] is one call over every task, so task
+//! outputs in rank order concatenate to its emission sequence by
+//! construction.
 
-use crate::miner::Miner;
+use crate::miner::{LcmStats, Miner};
 use crate::projdb::ProjDb;
-use crate::rmdup::{rm_dup_trans, BucketImpl};
+use crate::rmdup::rm_dup_trans;
 use crate::LcmConfig;
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
-use fpm::{remap, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
-use memsim::{NullProbe, Probe};
+use fpm::{remap_lex, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
+use memsim::Probe;
 
 /// The spine handle: a zero-sized type carrying the associated items.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,6 +32,9 @@ pub struct LcmPrepared {
     n_ranks: usize,
     minsup: u64,
     cfg: LcmConfig,
+    /// Transactions the root's `rm_dup_trans` merged away: the one work
+    /// counter the root build contributes to a serial run's stats.
+    pub(crate) root_merged: u64,
 }
 
 impl KernelSpine for LcmSpine {
@@ -38,29 +42,30 @@ impl KernelSpine for LcmSpine {
     type Prepared = LcmPrepared;
     /// `(first_rank, support)` — one frequent first-rank subtree.
     type Task = (u32, u64);
+    type Stats = LcmStats;
 
-    fn prepare(db: &TransactionDb, minsup: u64, cfg: &Self::Config) -> Self::Prepared {
+    /// Builds the root: the P1 reorder, the duplicate merge and the
+    /// occurrence array, all charged to `probe`.
+    fn prepare<P: Probe>(
+        db: &TransactionDb,
+        minsup: u64,
+        cfg: &Self::Config,
+        probe: &mut P,
+    ) -> Self::Prepared {
         let RankedDb {
-            mut transactions,
-            map,
-            ..
-        } = remap(db, minsup);
-        if cfg.lex {
-            also::lexorder::lex_order(&mut transactions);
-        }
+            transactions, map, ..
+        } = remap_lex(db, minsup, cfg.lex, probe);
         let n_ranks = map.n_ranks();
         let mut root = ProjDb::from_ranked(&transactions);
+        let before = root.heads.len();
         root.heads = rm_dup_trans(
             &root.items,
             std::mem::take(&mut root.heads),
-            if cfg.aggregate {
-                BucketImpl::Aggregated
-            } else {
-                BucketImpl::Linked
-            },
-            &mut NullProbe,
+            cfg.bucket_impl(),
+            probe,
         );
-        root.build_occ(n_ranks, &mut NullProbe);
+        let root_merged = (before - root.heads.len()) as u64;
+        root.build_occ(n_ranks, probe);
         let children: Vec<(u32, u64)> = (0..n_ranks as u32)
             .filter_map(|r| {
                 let s = root.support(r);
@@ -74,6 +79,7 @@ impl KernelSpine for LcmSpine {
             n_ranks,
             minsup,
             cfg: *cfg,
+            root_merged,
         }
     }
 
@@ -81,13 +87,15 @@ impl KernelSpine for LcmSpine {
         prepared.children.clone()
     }
 
-    fn mine_task<P: Probe, S: PatternSink>(
+    /// One root node over `tasks`: with P6.1 on, its tiled column walk
+    /// spans every task passed, so a serial run passes all of them.
+    fn mine_tasks<P: Probe, S: PatternSink>(
         prepared: &Self::Prepared,
-        task: Self::Task,
+        tasks: &[Self::Task],
         probe: &mut P,
         control: &MineControl,
         sink: &mut S,
-    ) -> bool {
+    ) -> (LcmStats, bool) {
         let mut translate = TranslateSink::new(&prepared.map, sink);
         let mut miner = Miner::new(
             prepared.cfg,
@@ -97,7 +105,7 @@ impl KernelSpine for LcmSpine {
             control,
             &mut translate,
         );
-        miner.run_children(&prepared.root, &[task]);
-        !miner.cut
+        miner.node(&prepared.root, tasks);
+        (miner.stats, !miner.cut)
     }
 }

@@ -162,7 +162,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "lock-order (R9)\n\nBuilds a per-file lock-acquisition graph: an edge A -> B whenever a\nguard of A is still live when B is locked (guards tracked through\n`let` bindings, `drop()`, and temporary-lifetime rules; lock names\nresolved through receiver chains like `shard.queue.lock()`). A cycle\nin that graph — including a self-edge, i.e. re-locking a mutex\nalready held — is a deadlock seed; the diagnostic prints the witness\npath. Fix by choosing one global acquisition order, or by dropping\nthe first guard before taking the second."
         }
         "panic-path" => {
-            "panic-path (R11)\n\nOn panic-free paths (serve worker loop, poll frontend, par steal\npath) non-test code must not `unwrap`/`expect`, use the panic\nmacros, or index/slice with `[…]`. A panicking worker poisons locks\nand strands in-flight jobs. Recover instead (for poisoned locks:\n`unwrap_or_else(|e| e.into_inner())`), or carry the impossibility\nproof in an `// also-lint: allow(panic-path)` comment. Pre-existing\ndebt is pinned in lint-baseline.json and may only shrink."
+            "panic-path (R11)\n\nOn panic-free paths (serve worker loop, poll frontend, par steal\npath) non-test code must not `unwrap`/`expect`, use the panic\nmacros, or index/slice with `[…]`. A panicking worker poisons locks\nand strands in-flight jobs. Recover instead (for poisoned locks:\n`unwrap_or_else(|e| e.into_inner())`), or carry the impossibility\nproof in an `// also-lint: allow(panic-path)` comment."
         }
         "guard-across-await-free-wait" => {
             "guard-across-await-free-wait (R12)\n\nNo lock guard may be live across a blocking suspension point —\n`Condvar::wait*`, channel `recv*`, `thread::park` — except the one\nmutex a condvar wait consumes as its own argument. This runtime is\nawait-free (std threads only), so these calls are its suspension\npoints; sleeping on one while holding an unrelated lock stalls every\nthread that needs it. Drop or scope the guard before blocking."

@@ -39,13 +39,10 @@
 //! - **guard-across-await-free-wait** (R12): no lock guard held across
 //!   `Condvar::wait`/`recv`/`park` except a condvar's own mutex.
 //!
-//! Run with `cargo run -p xtask -- lint [--format json|sarif]`.
-//! Suppress a finding with `// also-lint: allow(<rule>)` on the
-//! offending line or the line above — the comment is also where the
-//! justification lives. Pre-existing debt is pinned in
-//! `lint-baseline.json` ([`baseline`]): the ratchet fails on *new*
-//! findings and on *stale* pins (debt paid down without tightening the
-//! file — regenerate with `cargo xtask lint --update-baseline`).
+//! Run with `cargo run -p xtask -- lint [--format json|sarif]`; any
+//! diagnostic fails the run. Suppress a finding with
+//! `// also-lint: allow(<rule>)` on the offending line or the line
+//! above — the comment is also where the justification lives.
 //! `--explain <rule>` prints the full rationale for any rule.
 //!
 //! Deliberately std-only (no registry or vendored deps) so the lint
@@ -55,14 +52,12 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod baseline;
 pub mod concurrency;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod workspace;
 
-pub use baseline::{group, Baseline, RatchetReport, BASELINE_FILE};
 pub use diag::{explain, to_json, to_sarif, Diagnostic, RULE_IDS};
 pub use rules::{lint_source, FileCtx};
 pub use workspace::{

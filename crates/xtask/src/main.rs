@@ -1,11 +1,7 @@
 //! Workspace task driver:
 //!
-//! * `cargo run -p xtask -- lint [--format text|json|sarif] [--root DIR]
-//!   [--update-baseline | --no-baseline]` — the `also-lint` static
-//!   analysis pass. When `<root>/lint-baseline.json` exists, the
-//!   ratchet applies by default: pinned debt is suppressed, *fresh*
-//!   findings and *stale* pins fail. `--update-baseline` rewrites the
-//!   file from the current findings; `--no-baseline` lints raw.
+//! * `cargo run -p xtask -- lint [--format text|json|sarif] [--root DIR]`
+//!   — the `also-lint` static analysis pass; any diagnostic fails it.
 //! * `cargo run -p xtask -- lint --explain <rule>` — print the full
 //!   rationale for one rule.
 //! * `cargo run -p xtask -- regen-goldens` — rewrite the golden corpus
@@ -20,9 +16,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{baseline, explain, lint_workspace, to_json, to_sarif, BASELINE_FILE, RULE_IDS};
+use xtask::{explain, lint_workspace, to_json, to_sarif, RULE_IDS};
 
-const USAGE: &str = "usage: cargo run -p xtask -- <lint [--format text|json|sarif] [--root DIR] [--update-baseline | --no-baseline] [--explain RULE] | regen-goldens>";
+const USAGE: &str = "usage: cargo run -p xtask -- <lint [--format text|json|sarif] [--root DIR] [--explain RULE] | regen-goldens>";
 
 /// Rebuilds `tests/goldens/` by delegating to the chaos crate's bin.
 fn regen_goldens() -> ExitCode {
@@ -48,8 +44,6 @@ fn main() -> ExitCode {
     let mut format = "text".to_string();
     let mut root: Option<PathBuf> = None;
     let mut saw_lint = false;
-    let mut update_baseline = false;
-    let mut no_baseline = false;
     let mut explain_rule: Option<String> = None;
 
     let mut it = args.iter();
@@ -71,8 +65,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--update-baseline" => update_baseline = true,
-            "--no-baseline" => no_baseline = true,
             "--explain" => match it.next() {
                 Some(r) => explain_rule = Some(r.clone()),
                 None => {
@@ -92,10 +84,6 @@ fn main() -> ExitCode {
     }
     if !saw_lint {
         eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    if update_baseline && no_baseline {
-        eprintln!("also-lint: --update-baseline and --no-baseline are mutually exclusive");
         return ExitCode::from(2);
     }
     if let Some(rule) = explain_rule {
@@ -133,73 +121,21 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = root.join(BASELINE_FILE);
-    if update_baseline {
-        let rendered = baseline::group(&diags).render();
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("also-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "also-lint: pinned {} finding(s) into {}",
-            diags.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Ratchet by default when a committed baseline exists.
-    let pinned = if !no_baseline && baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| baseline::Baseline::parse(&s))
-        {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!(
-                    "also-lint: malformed {}: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-
-    let (reported, stale): (Vec<_>, Vec<_>) = match &pinned {
-        Some(b) => {
-            let report = b.apply(&diags);
-            (report.fresh, report.stale)
-        }
-        None => (diags, Vec::new()),
-    };
-
     match format.as_str() {
-        "json" => print!("{}", to_json(&reported)),
-        "sarif" => print!("{}", to_sarif(&reported)),
+        "json" => print!("{}", to_json(&diags)),
+        "sarif" => print!("{}", to_sarif(&diags)),
         _ => {
-            for d in &reported {
+            for d in &diags {
                 println!("{d}");
             }
-            for (file, rule, pinned, observed) in &stale {
-                println!(
-                    "{file}: stale baseline: {rule} pinned at {pinned} but only {observed} \
-                     observed — run `cargo xtask lint --update-baseline` to ratchet down"
-                );
-            }
-            if reported.is_empty() && stale.is_empty() {
+            if diags.is_empty() {
                 eprintln!("also-lint: workspace clean");
             } else {
-                eprintln!(
-                    "also-lint: {} fresh diagnostic(s), {} stale baseline entr(ies)",
-                    reported.len(),
-                    stale.len()
-                );
+                eprintln!("also-lint: {} diagnostic(s)", diags.len());
             }
         }
     }
-    if reported.is_empty() && stale.is_empty() {
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -599,6 +599,7 @@ const KERNEL_ENTRY_IDENTS: &[&str] = &[
     "EclatSpine",
     "FpSpine",
     "root_tasks",
+    "mine_tasks",
     "mine_task",
     "mine_controlled",
     "mine_probed_controlled",

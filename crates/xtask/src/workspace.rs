@@ -70,8 +70,7 @@ pub const CHAOS_ZONE_FILES: &[&str] = &["crates/fpm/src/faults.rs"];
 /// Panic-free paths, where R11 (panic-path) applies: the serve worker
 /// loop and single-flight machinery, the poll frontend's state machine,
 /// and the par runtime's steal path. A panic here poisons locks and
-/// strands in-flight jobs; pre-existing debt is pinned in
-/// `lint-baseline.json` and may only shrink.
+/// strands in-flight jobs.
 pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/serve/src/service.rs",
     "crates/serve/src/frontend.rs",

@@ -107,10 +107,10 @@ fn r5_unchecked_indexing() {
 fn r6_kernel_entry() {
     check("r6_good.rs", "kernel-entry", false);
     check("r6_bad.rs", "kernel-entry", true);
-    // The bad fixture names the spine type twice, `root_tasks` once, and
-    // the retired controlled entry point once.
+    // The bad fixture names the spine type three times, `root_tasks` and
+    // `mine_tasks` once each, and the retired controlled entry point once.
     let diags = lint_source(&ctx("r6_bad.rs"), &fixture("r6_bad.rs"));
-    assert_eq!(diags.len(), 4);
+    assert_eq!(diags.len(), 6);
     // The same source inside the kernel-internal zone is allowed.
     let mut inside = ctx("r6_bad.rs");
     inside.kernel_internal = true;

@@ -1,11 +1,16 @@
 //! R6 bad: reaches past the executor into the kernel spine, and
 //! resurrects a retired controlled entry point.
 
-pub fn bypasses_the_plan(db: &fpm::TransactionDb, minsup: u64) -> usize {
+pub fn bypasses_the_plan(db: &fpm::TransactionDb, minsup: u64) -> bool {
     let cfg = lcm::LcmConfig::all();
-    let prepared = lcm::LcmSpine::prepare(db, minsup, &cfg);
+    let mut probe = memsim::NullProbe;
+    let prepared = lcm::LcmSpine::prepare(db, minsup, &cfg, &mut probe);
     let tasks = lcm::LcmSpine::root_tasks(&prepared);
-    tasks.len()
+    let control = fpm::MineControl::unlimited();
+    let mut sink = fpm::CountSink::default();
+    let (_, complete) =
+        lcm::LcmSpine::mine_tasks(&prepared, &tasks, &mut probe, &control, &mut sink);
+    complete
 }
 
 pub fn resurrects_dead_api(db: &fpm::TransactionDb, minsup: u64) {

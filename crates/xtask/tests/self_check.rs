@@ -1,11 +1,10 @@
-//! Self-check: the lint must run clean on the real workspace *modulo
-//! the committed baseline* — the same invariant CI enforces with
-//! `cargo run -p xtask -- lint` (the ratchet applies by default when
-//! `lint-baseline.json` exists).
+//! Self-check: the lint must run clean on the real workspace, with
+//! zero diagnostics — the same invariant CI enforces with
+//! `cargo run -p xtask -- lint`.
 
 use std::path::Path;
 use std::process::Command;
-use xtask::{baseline::Baseline, lint_workspace, BASELINE_FILE};
+use xtask::lint_workspace;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -16,46 +15,18 @@ fn repo_root() -> &'static Path {
 }
 
 #[test]
-fn workspace_lints_clean_modulo_baseline() {
-    let root = repo_root();
-    let diags = lint_workspace(root).expect("workspace walk");
-    let pinned = match std::fs::read_to_string(root.join(BASELINE_FILE)) {
-        Ok(s) => Baseline::parse(&s).expect("parse committed baseline"),
-        Err(_) => Baseline::default(),
-    };
-    let report = pinned.apply(&diags);
+fn workspace_lints_clean() {
+    let diags = lint_workspace(repo_root()).expect("workspace walk");
     assert!(
-        report.fresh.is_empty(),
-        "workspace has {} fresh also-lint diagnostic(s) over the baseline:\n{}",
-        report.fresh.len(),
-        report
-            .fresh
+        diags.is_empty(),
+        "workspace has {} also-lint diagnostic(s):\n{}",
+        diags.len(),
+        diags
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        report.stale.is_empty(),
-        "baseline pins debt that no longer exists (run `cargo xtask lint \
-         --update-baseline`): {:?}",
-        report.stale
-    );
-}
-
-#[test]
-fn baseline_only_pins_concurrency_debt_we_expect() {
-    // The ratchet is for pre-existing panic-path debt on the serve and
-    // par paths — the original seven rules must hold outright, so a new
-    // R1–R7 violation can never hide behind `--update-baseline`.
-    let root = repo_root();
-    let diags = lint_workspace(root).expect("workspace walk");
-    for d in &diags {
-        assert_eq!(
-            d.rule, "panic-path",
-            "only panic-path debt may be baselined, found: {d}"
-        );
-    }
 }
 
 #[test]
@@ -127,29 +98,4 @@ fn binary_explains_every_rule_and_rejects_unknown() {
         .output()
         .expect("spawn also-lint");
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn no_baseline_flag_is_clean_now_that_debt_is_zero() {
-    // The panic-path paydown emptied the baseline, so `--no-baseline`
-    // (raw, no ratchet) must now run clean too: the workspace carries
-    // no hidden debt, and the empty committed baseline is load-bearing
-    // only as the ratchet that keeps it that way.
-    let out = Command::new(env!("CARGO_BIN_EXE_also-lint"))
-        .args(["lint", "--no-baseline", "--root"])
-        .arg(repo_root())
-        .output()
-        .expect("spawn also-lint");
-    assert!(
-        out.status.success(),
-        "raw lint must be clean with zero pinned debt:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let pinned = Baseline::parse(
-        &std::fs::read_to_string(repo_root().join(BASELINE_FILE))
-            .expect("committed lint-baseline.json"),
-    )
-    .expect("parse committed baseline");
-    assert!(pinned.is_empty(), "the committed baseline must stay empty");
 }
