@@ -1,11 +1,21 @@
 //! The container-era Eclat recursion: equivalence-class DFS over
 //! [`VerticalHybridDb`]'s adaptive per-chunk tid-sets (DESIGN.md §16).
 //!
-//! The lattice walk is *identical* to the bit-matrix miner's
-//! ([`crate::mine`]) — same class order, same minsup filter, same
+//! The lattice walk emits exactly what the bit-matrix miner
+//! ([`crate::mine`]) emits — same class order, same minsup filter, same
 //! cooperative-stop points — and supports are cardinalities, which no
 //! representation can change; that is why swapping the storage keeps the
 //! emitted byte sequence identical at every thread count.
+//!
+//! One step differs from the bit matrix's all-pairs walk: a root class
+//! is built from the counts of [`count_root_pairs`], one horizontal pass
+//! over the root item's rows (Zaki's frequent 2-itemset count), so only
+//! root pairs that reach minsup are intersected. A root pair that cannot
+//! be frequent costs one counter increment per shared row instead of an
+//! intersection and a materialized set; the candidates, their supports
+//! and the emitted bytes are unchanged. The hybrid miner's `set_ops` are
+//! therefore the bit matrix's `intersections` minus its infrequent root
+//! pairs.
 //!
 //! The intersections themselves dispatch per chunk pair (galloping
 //! array∩array, word-wise SIMD bitmap∩bitmap, probe, run merges — see
@@ -41,6 +51,9 @@ pub(crate) struct HybridMiner<'a, P, S> {
     /// is a strict prefix of the full serial output.
     pub(crate) cut: bool,
     pub(crate) prefix: Vec<u32>,
+    /// Root-pair supports of the current root item, one slot per item
+    /// ([`count_root_pairs`]); allocated once per miner.
+    pub(crate) pair_counts: Vec<u32>,
 }
 
 /// Charges a tid-set's storage to the memory model: one streamed pass
@@ -64,18 +77,71 @@ fn probe_set<P: Probe>(probe: &mut P, set: &TidSet, write: bool) {
     }
 }
 
+/// Counts, in one horizontal pass, how often `r` co-occurs with every
+/// later item: on return `counts[j]` is the support of the root pair
+/// `{r, j}` for every `j > r`, and `counts[..=r]` is untouched.
+///
+/// `rows` are the ranked transactions the columns were built from (each
+/// sorted ascending) and `tids` is `r`'s column, so every visited row
+/// holds `r` and only its tail past `r` is counted. `counts` has one
+/// slot per item and is reused from root to root, which keeps the pass
+/// O(items) in memory rather than the O(items²) of a full triangle. The
+/// pass is charged to `probe`: `r`'s column and each counted row tail
+/// are read, the counter slots past `r` are written.
+// also-lint: hot
+pub fn count_root_pairs<P: Probe>(
+    rows: &[Vec<u32>],
+    tids: &TidSet,
+    r: u32,
+    counts: &mut [u32],
+    probe: &mut P,
+) {
+    let later = &mut counts[r as usize + 1..];
+    if later.is_empty() {
+        return;
+    }
+    later.fill(0);
+    let n_later = later.len() as u64;
+    let (addr, len) = memsim::slice_span(later);
+    probe.write(addr, len);
+    probe_set(probe, tids, false);
+    let mut counted = 0u64;
+    for t in tids.iter() {
+        let row = &rows[t as usize];
+        let tail = &row[row.partition_point(|&x| x <= r)..];
+        if tail.is_empty() {
+            continue;
+        }
+        let (addr, len) = memsim::slice_span(tail);
+        probe.read(addr, len);
+        counted += tail.len() as u64;
+        for &j in tail {
+            counts[j as usize] += 1;
+        }
+    }
+    // A row lookup and tail search per tid, a load and an increment per
+    // counted item, a compare per counter on the minsup scan.
+    probe.instr(tids.cardinality() * 4 + counted * 2 + n_later);
+}
+
 impl<P: Probe, S: PatternSink> HybridMiner<'_, P, S> {
     /// Mines the subtree of itemsets whose first (lowest-rank) item is
     /// `r` — the task granularity `EclatSpine` hands to `fpm-exec`.
-    pub(crate) fn mine_subtree(&mut self, db: &VerticalHybridDb, r: u32) {
+    /// The root class holds only the later items whose pair count with
+    /// `r` reaches minsup, intersected in ascending order.
+    pub(crate) fn mine_subtree(&mut self, db: &VerticalHybridDb, rows: &[Vec<u32>], r: u32) {
         if self.control.should_stop() {
             self.cut = true;
             return;
         }
         self.prefix.push(r);
         self.sink.emit(&self.prefix, db.support(r));
+        count_root_pairs(rows, db.column(r), r, &mut self.pair_counts, self.probe);
         let mut next: Vec<HybridCand> = Vec::new();
         for j in (r + 1)..db.n_items() as u32 {
+            if u64::from(self.pair_counts[j as usize]) < self.minsup {
+                continue;
+            }
             if let Some(cand) = self.intersect(db.column(r), db.column(j), j) {
                 next.push(cand);
             }

@@ -28,6 +28,7 @@ pub(crate) mod hybrid;
 pub mod spine;
 pub mod tidlist;
 
+pub use hybrid::count_root_pairs;
 pub use spine::EclatSpine;
 
 use also::bits::{BitVec, OneRange};

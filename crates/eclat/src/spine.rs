@@ -15,6 +15,12 @@
 //! The serial hybrid miner, [`crate::tidlist::mine_probed`] with
 //! [`SparseRepr::Hybrid`](crate::tidlist::SparseRepr::Hybrid), is one
 //! `mine_tasks` call over every task.
+//!
+//! The prepared root also keeps the ranked rows the columns were built
+//! from, for the length of one mine: each root task counts its root
+//! pairs over them ([`crate::count_root_pairs`]) and intersects only the
+//! pairs that reach minsup. Each `mine_tasks` call allocates one
+//! counter per item for that pass.
 
 use crate::hybrid::HybridMiner;
 use crate::tidlist::SparseStats;
@@ -29,10 +35,12 @@ use memsim::Probe;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EclatSpine;
 
-/// The shared read-only root of an Eclat run: remapped rank space plus
-/// the vertical hybrid-container database.
+/// The shared read-only root of an Eclat run: remapped rank space, the
+/// ranked rows, and the vertical hybrid-container database built from
+/// them.
 pub struct EclatPrepared {
     map: RankMap,
+    rows: Vec<Vec<u32>>,
     hdb: VerticalHybridDb,
     minsup: u64,
 }
@@ -58,7 +66,12 @@ impl KernelSpine for EclatSpine {
             transactions, map, ..
         } = remap_lex(db, minsup, cfg.lex, probe);
         let hdb = VerticalHybridDb::from_ranked(&transactions, map.n_ranks());
-        EclatPrepared { map, hdb, minsup }
+        EclatPrepared {
+            map,
+            rows: transactions,
+            hdb,
+            minsup,
+        }
     }
 
     fn root_tasks(prepared: &Self::Prepared) -> Vec<Self::Task> {
@@ -81,9 +94,10 @@ impl KernelSpine for EclatSpine {
             control,
             cut: false,
             prefix: Vec::new(),
+            pair_counts: vec![0; prepared.hdb.n_items()],
         };
         for &r in tasks {
-            miner.mine_subtree(&prepared.hdb, r);
+            miner.mine_subtree(&prepared.hdb, &prepared.rows, r);
             if miner.cut {
                 break;
             }

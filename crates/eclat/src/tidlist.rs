@@ -292,10 +292,59 @@ mod tests {
         assert_eq!(run(&db, 6, SparseRepr::Hybrid), expect);
     }
 
+    /// Root pairs (pairs of frequent items) whose support, counted
+    /// row by row, falls below `minsup`.
+    fn infrequent_root_pairs(db: &TransactionDb, minsup: u64) -> u64 {
+        let mut item_sup = std::collections::BTreeMap::<u32, u64>::new();
+        let mut pair_sup = std::collections::BTreeMap::<(u32, u32), u64>::new();
+        for t in db.transactions() {
+            for (k, &a) in t.iter().enumerate() {
+                *item_sup.entry(a).or_default() += 1;
+                for &b in &t[k + 1..] {
+                    *pair_sup.entry((a.min(b), a.max(b))).or_default() += 1;
+                }
+            }
+        }
+        let frequent: Vec<u32> = item_sup
+            .into_iter()
+            .filter(|&(_, s)| s >= minsup)
+            .map(|(i, _)| i)
+            .collect();
+        let mut infrequent = 0;
+        for (k, &a) in frequent.iter().enumerate() {
+            for &b in &frequent[k + 1..] {
+                if pair_sup.get(&(a, b)).copied().unwrap_or(0) < minsup {
+                    infrequent += 1;
+                }
+            }
+        }
+        infrequent
+    }
+
+    /// Mines `db` with the bit matrix and the hybrid containers, asserts
+    /// identical bytes, and returns `(hybrid set_ops, bit-matrix
+    /// intersections, hybrid patterns)`.
+    fn hybrid_against_bits(db: &TransactionDb, minsup: u64) -> (u64, u64, Vec<fpm::ItemsetCount>) {
+        let mut bits_sink = fpm::RecordSink::default();
+        let bits = crate::mine(db, minsup, &EclatConfig::all(), &mut bits_sink);
+        let mut hyb_sink = fpm::RecordSink::default();
+        let hyb = mine(db, minsup, SparseRepr::Hybrid, &mut hyb_sink);
+        assert_eq!(
+            hyb_sink.bytes, bits_sink.bytes,
+            "hybrid bytes differ at minsup {minsup}"
+        );
+        (
+            hyb.set_ops,
+            bits.intersections,
+            run(db, minsup, SparseRepr::Hybrid),
+        )
+    }
+
     #[test]
     fn hybrid_matches_bits_and_walks_the_same_classes() {
         // Sparse scattered shape: long tid universe, low per-item density —
-        // the profile the containers target.
+        // the profile the containers target. Items 10..14 are rare, so
+        // most of their root pairs fall below minsup.
         let mut s = 41u64;
         let mut rnd = || {
             s ^= s << 13;
@@ -305,21 +354,46 @@ mod tests {
         };
         let db = TransactionDb::from_transactions(
             (0..4000)
-                .map(|_| (0..14u32).filter(|_| rnd() % 5 == 0).collect::<Vec<_>>())
+                .map(|_| {
+                    (0..14u32)
+                        .filter(|&i| rnd() % if i < 10 { 5 } else { 40 } == 0)
+                        .collect::<Vec<_>>()
+                })
                 .collect(),
         );
-        let mut bits_sink = CollectSink::default();
-        let bits = crate::mine(&db, 40, &EclatConfig::all(), &mut bits_sink);
-        let mut hyb_sink = CollectSink::default();
-        let hyb = mine(&db, 40, SparseRepr::Hybrid, &mut hyb_sink);
-        assert_eq!(
-            canonicalize(bits_sink.patterns),
-            canonicalize(hyb_sink.patterns)
-        );
-        // Same class walk → one set operation per bit-matrix intersection
-        // (short-circuited ones included); the containers change the
-        // bytes per element, not the search.
-        assert_eq!(hyb.set_ops, bits.intersections);
+        let infrequent = infrequent_root_pairs(&db, 40);
+        assert!(infrequent > 0, "the input must have infrequent root pairs");
+        let (set_ops, intersections, patterns) = hybrid_against_bits(&db, 40);
+        assert!(patterns.iter().any(|p| p.items.len() == 2));
+        // Same class walk below the root; at the root the pair count
+        // skips exactly the pairs that cannot be frequent. The containers
+        // change the bytes per element, not the search.
+        assert_eq!(set_ops + infrequent, intersections);
+    }
+
+    #[test]
+    fn root_pair_at_minsup_is_kept_and_one_below_is_not() {
+        // Supports: item 0 → 10, item 2 → 9, item 1 → 7; pair {0, 1} → 5
+        // (exactly minsup), {0, 2} → 4 (minsup − 1), {1, 2} → 2.
+        let mut rows = vec![vec![0, 1]; 5];
+        rows.extend(vec![vec![0, 2]; 4]);
+        rows.extend(vec![vec![1, 2]; 2]);
+        rows.extend(vec![vec![2]; 3]);
+        rows.push(vec![0]);
+        let db = TransactionDb::from_transactions(rows);
+        let (set_ops, intersections, patterns) = hybrid_against_bits(&db, 5);
+        assert_eq!(infrequent_root_pairs(&db, 5), 2);
+        assert_eq!((set_ops, intersections), (1, 3));
+        let pair = |items: &[u32]| {
+            patterns
+                .iter()
+                .find(|p| p.items == items)
+                .map(|p| p.support)
+        };
+        assert_eq!(pair(&[0, 1]), Some(5));
+        assert_eq!(pair(&[0, 2]), None);
+        assert_eq!(pair(&[1, 2]), None);
+        assert_eq!(patterns.len(), 4);
     }
 
     #[test]

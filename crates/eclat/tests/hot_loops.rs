@@ -1,9 +1,12 @@
 //! Runtime proof of the `// also-lint: hot` contract on the Eclat
-//! AND/popcount kernels (`also::simd`) and the hybrid-container chunk
-//! kernels (`also::containers`): once the lazily built Table16 lookup
+//! AND/popcount kernels (`also::simd`), the hybrid-container chunk
+//! kernels (`also::containers`) and the hybrid miner's root-pair count
+//! (`eclat::count_root_pairs`): once the lazily built Table16 lookup
 //! table and the CPU-feature detection caches are warm, every strategy's
 //! fused intersect-and-count — plain, 0-escaped, materializing,
-//! galloping, and the k-way chunk fold — performs zero allocations.
+//! galloping, and the k-way chunk fold — performs zero allocations, and
+//! so does the horizontal pass that counts a root item's pairs into a
+//! caller-owned counter array.
 
 use also::bits::BitVec;
 use also::containers::{
@@ -11,7 +14,9 @@ use also::containers::{
     bitmap_and_into, AndScratch, TidSet, BITMAP_WORDS,
 };
 use also::simd::{and_count, and_count_escaped, and_count_words, and_into_count, Popcount};
+use fpm_eclat::count_root_pairs;
 use fpm::alloc_guard::assert_no_alloc;
+use memsim::NullProbe;
 
 fn dense(len: usize, step: usize, phase: usize) -> BitVec {
     let idx: Vec<u32> = (phase..len).step_by(step).map(|x| x as u32).collect();
@@ -150,4 +155,46 @@ fn k_way_fold_is_allocation_free() {
     let got = assert_no_alloc(|| TidSet::multi_and_count_with(&sets, &mut scratch));
     assert_eq!(got, expect);
     assert_eq!(got, a.and(&b).and(&c).cardinality());
+}
+
+#[test]
+fn root_pair_count_is_allocation_free() {
+    // Item 1's column spans three chunks: dense (bitmap), sparse (array)
+    // and contiguous (runs after `optimize`), so the pass walks every
+    // container shape.
+    let holds_1 = |t: u32| match t >> 16 {
+        0 => !t.is_multiple_of(3),
+        1 => t.is_multiple_of(50),
+        _ => true,
+    };
+    let rows: Vec<Vec<u32>> = (0..140_000u32)
+        .map(|t| {
+            (0..8u32)
+                .filter(|&i| {
+                    if i == 1 {
+                        holds_1(t)
+                    } else {
+                        !(t + i).is_multiple_of(i + 2)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let tids: Vec<u32> = (0..140_000u32).filter(|&t| holds_1(t)).collect();
+    let mut column = TidSet::from_sorted(&tids);
+    column.optimize();
+    let mut counts = vec![u32::MAX; 8];
+    assert_no_alloc(|| count_root_pairs(&rows, &column, 1, &mut counts, &mut NullProbe));
+    assert_eq!(
+        counts[..2],
+        [u32::MAX; 2],
+        "slots up to the root are untouched"
+    );
+    for j in 2..8u32 {
+        let naive = rows
+            .iter()
+            .filter(|r| r.contains(&1) && r.contains(&j))
+            .count();
+        assert_eq!(counts[j as usize] as usize, naive, "pair {{1, {j}}}");
+    }
 }

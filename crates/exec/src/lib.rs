@@ -457,6 +457,36 @@ mod tests {
     }
 
     #[test]
+    fn eclat_root_pairs_at_the_minsup_boundary_match_the_bit_matrix() {
+        // Pair {0, 1} has support 5 (exactly minsup) and must be emitted;
+        // {0, 2} has 4 (minsup − 1) and must not. The spine counts root
+        // pairs before intersecting them, so the boundary is where a
+        // miscount would show.
+        let mut rows = vec![vec![0, 1]; 5];
+        rows.extend(vec![vec![0, 2]; 4]);
+        rows.extend(vec![vec![1, 2]; 2]);
+        rows.extend(vec![vec![2]; 3]);
+        rows.push(vec![0]);
+        let db = TransactionDb::from_transactions(rows);
+        let want = serial_reference(fpm::Kernel::Eclat, &db, 5);
+        let mut bits = CollectSink::default();
+        eclat::mine(&db, 5, &eclat::EclatConfig::all(), &mut bits);
+        assert!(bits
+            .patterns
+            .iter()
+            .any(|p| p.items == [0, 1] && p.support == 5));
+        assert!(!bits.patterns.iter().any(|p| p.items == [0, 2]));
+        for threads in [1usize, 2] {
+            let mut sink = RecordSink::default();
+            let summary = MinePlan::kernel(fpm::Kernel::Eclat, 5)
+                .threads(threads)
+                .execute(&db, &mut sink);
+            assert!(summary.complete);
+            assert_eq!(sink.bytes, want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn budget_cuts_to_exact_serial_prefix() {
         let db = toy();
         for kernel in fpm::Kernel::ALL {

@@ -183,6 +183,8 @@ pub(crate) struct Miner<'a, P, S> {
     pub(crate) counts: Vec<u64>,
     pub(crate) stamps: Vec<u32>,
     pub(crate) epoch: u32,
+    /// Reused buffers for gathering conditional pattern bases.
+    pub(crate) base: CondBase,
 }
 
 impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
@@ -219,43 +221,47 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
     }
 
     /// Builds the conditional FP-tree for `item`: gather the prefix path
-    /// of every chain node (with the node's count), compute conditional
-    /// supports, filter infrequent items, and re-insert.
+    /// of every chain node (with the node's count) into one flat buffer,
+    /// compute conditional supports, filter infrequent items, and
+    /// re-insert. Returns `None` before building a tree when no base
+    /// item is frequent.
     fn conditional_tree(&mut self, tree: &FpTree, item: u32) -> Option<FpTree> {
-        // Pass 1: collect paths into a flat buffer and count conditional
-        // supports.
+        // Pass 1: gather the paths back to back into `base.items`, each
+        // path's end offset and count into `base.paths`, and count
+        // conditional supports.
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamps.fill(0);
             self.epoch = 1;
         }
-        let mut chain: Vec<(u32, u32)> = Vec::new();
+        let base = &mut self.base;
+        base.clear();
         tree.for_each_chain_node(item, self.probe, |node, count| {
-            chain.push((node, count));
+            base.chain.push((node, count));
         });
-        self.stats.chain_nodes += chain.len() as u64;
-        let mut paths: Vec<(Vec<u32>, u32)> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for &(node, count) in &chain {
-            scratch.clear();
-            tree.path_to_root(node, item, self.probe, &mut scratch);
-            self.stats.path_levels += scratch.len() as u64;
-            if scratch.is_empty() {
+        self.stats.chain_nodes += base.chain.len() as u64;
+        let mut any_frequent = false;
+        for &(node, count) in &base.chain {
+            let start = base.items.len();
+            tree.path_to_root(node, item, self.probe, &mut base.items);
+            let path = &mut base.items[start..];
+            self.stats.path_levels += path.len() as u64;
+            if path.is_empty() {
                 continue;
             }
-            for &it in &scratch {
+            for &it in path.iter() {
                 if self.stamps[it as usize] != self.epoch {
                     self.stamps[it as usize] = self.epoch;
                     self.counts[it as usize] = 0;
                 }
                 self.counts[it as usize] += count as u64;
+                any_frequent |= self.counts[it as usize] >= self.minsup;
             }
             // paths come leaf→root (descending rank); store ascending
-            let mut asc = scratch.clone();
-            asc.reverse();
-            paths.push((asc, count));
+            path.reverse();
+            base.paths.push((base.items.len(), count));
         }
-        if paths.is_empty() {
+        if !any_frequent {
             return None;
         }
         // Pass 2: filter and insert.
@@ -263,23 +269,47 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
         let frequent =
             |it: u32| self.stamps[it as usize] == self.epoch && self.counts[it as usize] >= minsup;
         let mut cond = FpTree::new(tree.n_ranks(), self.cfg.repr());
-        let mut filtered: Vec<u32> = Vec::new();
-        let mut any = false;
-        for (path, count) in &paths {
-            filtered.clear();
-            filtered.extend(path.iter().copied().filter(|&it| frequent(it)));
-            if !filtered.is_empty() {
-                cond.insert(&filtered, *count, self.probe);
-                any = true;
+        let mut start = 0;
+        for &(end, count) in &base.paths {
+            base.filtered.clear();
+            base.filtered.extend(
+                base.items[start..end]
+                    .iter()
+                    .copied()
+                    .filter(|&it| frequent(it)),
+            );
+            start = end;
+            if !base.filtered.is_empty() {
+                cond.insert(&base.filtered, count, self.probe);
             }
-        }
-        if !any {
-            return None;
         }
         cond.finalize();
         self.stats.trees_built += 1;
         self.stats.nodes_built += cond.len() as u64;
         Some(cond)
+    }
+}
+
+/// The buffers a conditional pattern base is gathered into. The miner
+/// keeps one and reuses it from tree to tree, so a base costs no
+/// allocation once the buffers have grown to the largest base seen.
+#[derive(Default)]
+pub(crate) struct CondBase {
+    /// `(node, count)` of every header-chain node of the item.
+    chain: Vec<(u32, u32)>,
+    /// The non-empty prefix paths, back to back, each ascending in rank.
+    items: Vec<u32>,
+    /// Each path's end offset in `items` and its count.
+    paths: Vec<(usize, u32)>,
+    /// One path's frequent items, for insertion.
+    filtered: Vec<u32>,
+}
+
+impl CondBase {
+    fn clear(&mut self) {
+        self.chain.clear();
+        self.items.clear();
+        self.paths.clear();
     }
 }
 

@@ -10,7 +10,7 @@
 //! walk order to its emission sequence by construction.
 
 use crate::tree::FpTree;
-use crate::{FpConfig, FpStats, Miner};
+use crate::{CondBase, FpConfig, FpStats, Miner};
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
 use fpm::{remap_lex, PatternSink, RankMap, RankedDb, TransactionDb, TranslateSink};
@@ -92,6 +92,7 @@ impl KernelSpine for FpSpine {
             counts: vec![0u64; prepared.n_ranks],
             stamps: vec![0u32; prepared.n_ranks],
             epoch: 0,
+            base: CondBase::default(),
         };
         for &item in tasks {
             miner.mine_item(&prepared.tree, item);

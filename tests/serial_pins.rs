@@ -148,7 +148,7 @@ const PINS: &[Row] = &[
     ("eclat/lex", &[10592, 91351, 78121, 0], (387188, 0, 11192, 1427535, 0), (1849928, 753716), 0x5569361f8107b2ae),
     ("eclat/simd", &[10592, 169472, 0, 0], (21184, 0, 10592, 338944, 0), (2711552, 1355776), 0x5569361f8107b2ae),
     ("eclat/all", &[10592, 91351, 78121, 0], (21784, 0, 11192, 239972, 0), (1484524, 753716), 0x5569361f8107b2ae),
-    ("eclat-sparse/hybrid", &[10592, 365703, 1843275], (21184, 0, 10592, 2237337, 0), (3643362, 731328), 0x5569361f8107b2ae),
+    ("eclat-sparse/hybrid", &[10550, 364616, 1830966], (26248, 0, 10571, 2302317, 0), (3733050, 730078), 0x5569361f8107b2ae),
     ("eclat-sparse/diffsets", &[10592, 729229, 2787653], (21184, 0, 10592, 8362959, 0), (11150612, 2916916), 0x5569361f8107b2ae),
 ];
 
