@@ -264,11 +264,13 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
         if !any_frequent {
             return None;
         }
-        // Pass 2: filter and insert.
+        // Pass 2: filter and insert. The base holds only ranks below
+        // `item`, so the tree's rank space (its header, the slots
+        // `mine_tree` walks) stops at `item`.
         let minsup = self.minsup;
         let frequent =
             |it: u32| self.stamps[it as usize] == self.epoch && self.counts[it as usize] >= minsup;
-        let mut cond = FpTree::new(tree.n_ranks(), self.cfg.repr());
+        let mut cond = FpTree::new(item as usize, self.cfg.repr());
         let mut start = 0;
         for &(end, count) in &base.paths {
             base.filtered.clear();

@@ -19,26 +19,33 @@
 //! The bound is `Σ_{k=1..min(m,L)} C(m, k)`, computed in saturating
 //! floating point: anything that overflows an `f64` is far beyond any
 //! admission threshold anyway.
+//!
+//! Both facts are read off the database's cached frequency ranking (see
+//! [`mod@crate::remap`]): `m` is the length of the ranking's prefix that
+//! reaches `minsup`, and each ranked transaction's length is that of its
+//! ranked row's prefix below `m`. The bound remaps nothing itself.
 
 use crate::db::TransactionDb;
-use crate::remap::remap;
 
 /// Upper bound on the number of frequent itemsets of `db` at `minsup`,
 /// from frequent-item count and transaction-length shape alone (no
 /// mining). Sound: the true count never exceeds it. `f64::INFINITY`
 /// signals an astronomically large search space.
 pub fn candidate_bound(db: &TransactionDb, minsup: u64) -> f64 {
-    let ranked = remap(db, minsup);
-    let mut lens: Vec<usize> = ranked.transactions.iter().map(|t| t.len()).collect();
+    let ranking = db.ranking();
+    let m = ranking.frequent(minsup);
+    let mut lens = Vec::with_capacity(db.len());
+    lens.extend(ranking.kept_rows(db, m).map(<[u32]>::len));
     lens.sort_unstable_by(|a, b| b.cmp(a));
-    bound_from_shape(ranked.n_ranks(), &lens, minsup)
+    bound_from_shape(m, &lens, minsup)
 }
 
 /// [`candidate_bound`] from precomputed shape facts: `m` frequent items
 /// and the ranked transaction lengths `lens_desc` sorted descending,
-/// one entry per original transaction (the form [`remap`] produces —
-/// duplicates are *not* merged at this stage, so each length carries
-/// multiplicity one and the `minsup`-th-longest cutoff is sound).
+/// one entry per non-empty ranked transaction (the form
+/// [`crate::remap()`] produces — duplicates are *not* merged at this
+/// stage, so each length carries multiplicity one and the
+/// `minsup`-th-longest cutoff is sound).
 pub fn bound_from_shape(m: usize, lens_desc: &[usize], minsup: u64) -> f64 {
     if m == 0 || lens_desc.is_empty() {
         return 0.0;

@@ -1,7 +1,10 @@
 //! The raw transactional database: what comes off disk or out of a
 //! generator, before any mining-oriented restructuring.
 
+use crate::remap::Ranking;
 use crate::types::Item;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A raw transaction database: a bag of item-set transactions over
 /// external item identifiers.
@@ -9,10 +12,33 @@ use crate::types::Item;
 /// Invariants maintained by the constructors: each transaction's items are
 /// sorted ascending with duplicates removed; `n_items` is one past the
 /// largest item id (0 when empty).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The database is immutable once built, so it caches its frequency
+/// ranking: the first [`crate::remap()`] or
+/// [`crate::bound::candidate_bound`] counts it, and every later one cuts
+/// it (see [`mod@crate::remap`]). Equality and `Debug` ignore the cache.
+#[derive(Clone, Default)]
 pub struct TransactionDb {
     transactions: Vec<Vec<Item>>,
     n_items: usize,
+    ranking: OnceLock<Ranking>,
+}
+
+impl PartialEq for TransactionDb {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_items == other.n_items && self.transactions == other.transactions
+    }
+}
+
+impl Eq for TransactionDb {}
+
+impl fmt::Debug for TransactionDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TransactionDb")
+            .field("transactions", &self.transactions)
+            .field("n_items", &self.n_items)
+            .finish()
+    }
 }
 
 impl TransactionDb {
@@ -36,6 +62,7 @@ impl TransactionDb {
         TransactionDb {
             transactions,
             n_items,
+            ranking: OnceLock::new(),
         }
     }
 
@@ -80,6 +107,11 @@ impl TransactionDb {
             .iter()
             .filter(|t| t.binary_search(&item).is_ok())
             .count() as u64
+    }
+
+    /// The frequency ranking, counted by the first call.
+    pub(crate) fn ranking(&self) -> &Ranking {
+        self.ranking.get_or_init(|| Ranking::count(self))
     }
 }
 

@@ -8,10 +8,21 @@
 //! transactions sorted ascending are already frequency-ordered, and the
 //! FP-tree's "parent rank < child rank" invariant that the differential
 //! byte encoding (P2) exploits holds by construction.
+//!
+//! A database is ranked once. The first [`remap`] or
+//! [`crate::bound::candidate_bound`] on a [`TransactionDb`] counts every
+//! item and ranks them all (the minsup-1 order), and the database caches
+//! that ranking. The first call whose minsup keeps an item also lays
+//! every row out in ascending rank, in one flat buffer. Ranks run by
+//! decreasing support, so the items that reach any minsup are a prefix of
+//! the ranking and each row's frequent items are a prefix of its ranked
+//! row: every remap is a cut of the cached ranking, with the same output
+//! as counting, filtering and sorting afresh.
 
 use crate::db::TransactionDb;
-use crate::types::Item;
+use crate::types::{Item, Tid};
 use memsim::Probe;
+use std::sync::OnceLock;
 
 /// The item-id translation produced by [`remap`].
 #[derive(Debug, Clone)]
@@ -65,75 +76,27 @@ impl RankedDb {
     }
 }
 
-/// Item-id arrays (`freq`, `to_rank`) are sized by the largest id only
-/// while that stays within this many ids per item occurrence; past it
-/// the ids are sparse (say one transaction holding item `u32::MAX`) and
-/// a sorted table of the occurring ids takes their place.
-const DENSE_IDS_PER_OCCURRENCE: u64 = 4;
-
 /// Counts item frequencies, drops items with support < `minsup`, and
 /// renumbers the survivors by decreasing frequency (ties broken by
 /// original id, ascending, for determinism).
 ///
-/// Memory is bounded by the database, not by its largest item id:
-/// sparse ids are counted through a sorted table, with the same output
-/// as the dense arrays.
+/// A cut of `db`'s cached ranking (see the module docs): after the
+/// first call on a database, a remap allocates only its output.
 pub fn remap(db: &TransactionDb, minsup: u64) -> RankedDb {
-    let minsup = minsup.max(1);
-    if db.n_items() as u64 <= DENSE_IDS_PER_OCCURRENCE * db.nnz() {
-        let mut freq = vec![0u64; db.n_items()];
-        for t in db.transactions() {
-            for &i in t {
-                freq[i as usize] += 1;
-            }
-        }
-        let frequent = by_rank(
-            (0..db.n_items())
-                .filter(|&i| freq[i] >= minsup)
-                .map(|i| (i as Item, freq[i]))
-                .collect(),
-        );
-        let mut to_rank = vec![u32::MAX; db.n_items()];
-        for (rank, &(orig, _)) in frequent.iter().enumerate() {
-            to_rank[orig as usize] = rank as u32;
-        }
-        ranked(db, frequent, move |i| to_rank[i as usize])
-    } else {
-        let mut ids: Vec<Item> = db.transactions().iter().flatten().copied().collect();
-        ids.sort_unstable();
-        let mut counted: Vec<(Item, u64)> = Vec::new();
-        for id in ids {
-            match counted.last_mut() {
-                Some((last, support)) if *last == id => *support += 1,
-                _ => counted.push((id, 1)),
-            }
-        }
-        counted.retain(|&(_, s)| s >= minsup);
-        let frequent = by_rank(counted);
-        let mut to_rank: Vec<(Item, u32)> = frequent
-            .iter()
-            .enumerate()
-            .map(|(rank, &(orig, _))| (orig, rank as u32))
-            .collect();
-        to_rank.sort_unstable();
-        ranked(db, frequent, move |i| {
-            to_rank
-                .binary_search_by_key(&i, |&(orig, _)| orig)
-                .map_or(u32::MAX, |at| to_rank[at].1)
-        })
-    }
+    cut(db, minsup, false)
 }
 
-/// [`remap`], then, when `lex` is set, the paper's P1 pass: the ranked
-/// transactions are reordered lexicographically
-/// ([`also::lexorder::lex_order`]) and the reorder is charged to
-/// `probe`. It is a real cost the paper weighs against the benefit
-/// ("lexicographic ordering is very time consuming" on very large
-/// inputs, §4.4): one streamed read+write pass plus sort work per item.
+/// [`remap`], with the paper's P1 pass when `lex` is set: the ranked
+/// transactions come out in lexicographic order (the stable order of
+/// [`also::lexorder::lex_order`]), each allocated in that order, so
+/// transactions read one after another sit in consecutive memory. The
+/// reorder is charged to `probe`. It is a real cost the paper weighs
+/// against the benefit ("lexicographic ordering is very time consuming"
+/// on very large inputs, §4.4): one streamed read+write pass plus sort
+/// work per item.
 pub fn remap_lex<P: Probe>(db: &TransactionDb, minsup: u64, lex: bool, probe: &mut P) -> RankedDb {
-    let mut ranked = remap(db, minsup);
+    let ranked = cut(db, minsup, lex);
     if lex {
-        also::lexorder::lex_order(&mut ranked.transactions);
         for t in &ranked.transactions {
             let (a, l) = memsim::slice_span(t);
             probe.read(a, l);
@@ -144,50 +107,194 @@ pub fn remap_lex<P: Probe>(db: &TransactionDb, minsup: u64, lex: bool, probe: &m
     ranked
 }
 
-/// Sorts `(item, support)` pairs into rank order: decreasing support,
-/// ties by ascending id.
-fn by_rank(mut frequent: Vec<(Item, u64)>) -> Vec<(Item, u64)> {
-    frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    frequent
-}
-
-/// Builds the ranked database from the rank-ordered frequent items and
-/// an id → rank lookup (`u32::MAX` for an infrequent id).
-fn ranked(
-    db: &TransactionDb,
-    frequent: Vec<(Item, u64)>,
-    to_rank: impl Fn(Item) -> u32,
-) -> RankedDb {
-    let (to_orig, supports): (Vec<Item>, Vec<u64>) = frequent.into_iter().unzip();
-    let transactions: Vec<Vec<u32>> = db
-        .transactions()
-        .iter()
-        .filter_map(|t| {
-            let mut mapped: Vec<u32> = t
-                .iter()
-                .filter_map(|&i| {
-                    let r = to_rank(i);
-                    (r != u32::MAX).then_some(r)
-                })
-                .collect();
-            if mapped.is_empty() {
-                None
-            } else {
-                mapped.sort_unstable();
-                Some(mapped)
-            }
-        })
-        .collect();
+/// Cuts `db`'s cached ranking at `minsup` and builds each kept row once:
+/// in row order, or with `lex` in lexicographic order, radix-sorting the
+/// borrowed cuts first so that no row is built and then moved or copied.
+fn cut(db: &TransactionDb, minsup: u64, lex: bool) -> RankedDb {
+    let ranking = db.ranking();
+    let m = ranking.frequent(minsup);
+    let kept = ranking.kept_rows(db, m);
+    let transactions = if lex {
+        let rows: Vec<&[u32]> = kept.collect();
+        let order = also::radix::lex_permutation_radix(&rows);
+        order.iter().map(|&t| rows[t as usize].to_vec()).collect()
+    } else {
+        let mut transactions = Vec::with_capacity(kept.clone().count());
+        transactions.extend(kept.map(<[u32]>::to_vec));
+        transactions
+    };
     RankedDb {
         transactions,
-        map: RankMap { to_orig, supports },
+        map: RankMap {
+            to_orig: ranking.to_orig[..m].to_vec(),
+            supports: ranking.supports[..m].to_vec(),
+        },
         original_len: db.len(),
+    }
+}
+
+/// Item-id arrays are sized by the largest id only while that stays
+/// within this many ids per item occurrence; past it the ids are sparse
+/// (say one transaction holding item `u32::MAX`) and a sorted table of
+/// the occurring ids takes their place. Memory stays bounded by the
+/// database, not by its largest item id.
+const DENSE_IDS_PER_OCCURRENCE: u64 = 4;
+
+fn dense_ids(db: &TransactionDb) -> bool {
+    db.n_items() as u64 <= DENSE_IDS_PER_OCCURRENCE * db.nnz()
+}
+
+/// A database's frequency ranking: every occurring item, ranked by
+/// decreasing support with ties by ascending id, and — built by the
+/// first cut that keeps an item — every row in ascending rank. Cached
+/// on the [`TransactionDb`]; see the module docs.
+#[derive(Clone)]
+pub(crate) struct Ranking {
+    to_orig: Vec<Item>,
+    /// Non-increasing, all at least 1.
+    supports: Vec<u64>,
+    rows: OnceLock<RankedRows>,
+}
+
+/// Every row of a database over ranks, ascending, back to back.
+#[derive(Clone)]
+struct RankedRows {
+    ranks: Vec<u32>,
+    /// Row `t` is `ranks[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl Ranking {
+    /// Counts and ranks every item of `db`: a dense count array, or a
+    /// sorted id table when the ids are sparse.
+    pub(crate) fn count(db: &TransactionDb) -> Ranking {
+        let mut counted: Vec<(Item, u64)> = if dense_ids(db) {
+            let mut freq = vec![0u64; db.n_items()];
+            for t in db.transactions() {
+                for &i in t {
+                    freq[i as usize] += 1;
+                }
+            }
+            (0..db.n_items())
+                .filter(|&i| freq[i] > 0)
+                .map(|i| (i as Item, freq[i]))
+                .collect()
+        } else {
+            let mut ids: Vec<Item> = db.transactions().iter().flatten().copied().collect();
+            ids.sort_unstable();
+            let mut counted: Vec<(Item, u64)> = Vec::new();
+            for id in ids {
+                match counted.last_mut() {
+                    Some((last, support)) if *last == id => *support += 1,
+                    _ => counted.push((id, 1)),
+                }
+            }
+            counted
+        };
+        counted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let (to_orig, supports) = counted.into_iter().unzip();
+        Ranking {
+            to_orig,
+            supports,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// How many items reach `minsup` (0 counts as 1): a rank prefix.
+    pub(crate) fn frequent(&self, minsup: u64) -> usize {
+        let minsup = minsup.max(1);
+        self.supports.partition_point(|&s| s >= minsup)
+    }
+
+    /// Each row of `db` (whose ranking this is) cut to its ranks below
+    /// `m`, in row order, empty cuts skipped. The ranked rows are built
+    /// on the first call with `m > 0`.
+    pub(crate) fn kept_rows<'a>(
+        &'a self,
+        db: &TransactionDb,
+        m: usize,
+    ) -> impl Iterator<Item = &'a [u32]> + Clone {
+        let rows = (m > 0).then(|| self.rows.get_or_init(|| self.rank_rows(db)));
+        rows.into_iter()
+            .flat_map(|rows| rows.offsets.windows(2).map(|w| &rows.ranks[w[0]..w[1]]))
+            .map(move |row| &row[..row.partition_point(|&r| (r as usize) < m)])
+            .filter(|row| !row.is_empty())
+    }
+
+    /// Lays every row of `db` out in ascending rank by a counting
+    /// transpose, O(nnz): scatter each occurrence's tid into its rank's
+    /// column (the columns' sizes are the supports), then walk the
+    /// columns in rank order appending each rank to its rows.
+    fn rank_rows(&self, db: &TransactionDb) -> RankedRows {
+        // Column `r`'s fill cursor; after the scatter, its end.
+        let mut column_end = Vec::with_capacity(self.supports.len());
+        let mut nnz = 0;
+        for &s in &self.supports {
+            column_end.push(nnz);
+            nnz += s as usize;
+        }
+        let mut tids: Vec<Tid> = vec![0; nnz];
+        if dense_ids(db) {
+            let mut to_rank = vec![0u32; db.n_items()];
+            for (rank, &orig) in self.to_orig.iter().enumerate() {
+                to_rank[orig as usize] = rank as u32;
+            }
+            scatter(db, |i| to_rank[i as usize], &mut column_end, &mut tids);
+        } else {
+            let mut to_rank: Vec<(Item, u32)> = self
+                .to_orig
+                .iter()
+                .enumerate()
+                .map(|(rank, &orig)| (orig, rank as u32))
+                .collect();
+            to_rank.sort_unstable();
+            let rank_of = |i| to_rank[to_rank.partition_point(|&(orig, _)| orig < i)].1;
+            scatter(db, rank_of, &mut column_end, &mut tids);
+        }
+        let mut offsets = Vec::with_capacity(db.len() + 1);
+        offsets.push(0);
+        for t in db.transactions() {
+            offsets.push(offsets[offsets.len() - 1] + t.len());
+        }
+        let mut row_end = offsets.clone();
+        let mut ranks = vec![0u32; nnz];
+        let mut start = 0;
+        for (rank, &end) in column_end.iter().enumerate() {
+            for &tid in &tids[start..end] {
+                let at = &mut row_end[tid as usize];
+                ranks[*at] = rank as u32;
+                *at += 1;
+            }
+            start = end;
+        }
+        RankedRows { ranks, offsets }
+    }
+}
+
+/// Appends each row's tid to the column of each of its items.
+fn scatter(
+    db: &TransactionDb,
+    rank_of: impl Fn(Item) -> u32,
+    column_end: &mut [usize],
+    tids: &mut [Tid],
+) {
+    for (tid, t) in db.transactions().iter().enumerate() {
+        let tid = Tid::try_from(tid).expect("row ids fit a Tid");
+        for &i in t {
+            let end = &mut column_end[rank_of(i) as usize];
+            tids[*end] = tid;
+            *end += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc_guard::{count_allocs, guard_active};
+    use crate::bound::{bound_from_shape, candidate_bound};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn toy() -> TransactionDb {
         // Table 1 of the paper: items a=0 b=1 c=2 d=3 e=4 f=5
@@ -284,5 +391,156 @@ mod tests {
         let r = remap(&TransactionDb::default(), 1);
         assert_eq!(r.map.n_ranks(), 0);
         assert!(r.transactions.is_empty());
+    }
+
+    /// A remap's output, field by field.
+    type Parts = (Vec<Vec<u32>>, Vec<Item>, Vec<u64>, usize);
+
+    fn parts(r: RankedDb) -> Parts {
+        (
+            r.transactions,
+            r.map.to_orig,
+            r.map.supports,
+            r.original_len,
+        )
+    }
+
+    /// The definition, naively: count, keep the items reaching `minsup`,
+    /// rank them by support descending then id ascending, map every row
+    /// and sort it, drop the empty rows.
+    fn reference(db: &TransactionDb, minsup: u64) -> Parts {
+        let mut counts: BTreeMap<Item, u64> = BTreeMap::new();
+        for &i in db.transactions().iter().flatten() {
+            *counts.entry(i).or_default() += 1;
+        }
+        let mut frequent: Vec<(Item, u64)> = counts
+            .into_iter()
+            .filter(|&(_, s)| s >= minsup.max(1))
+            .collect();
+        frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let rank = |i: Item| frequent.iter().position(|&(id, _)| id == i);
+        let rows = db
+            .transactions()
+            .iter()
+            .map(|t| {
+                let mut row: Vec<u32> = t
+                    .iter()
+                    .filter_map(|&i| rank(i))
+                    .map(|r| r as u32)
+                    .collect();
+                row.sort_unstable();
+                row
+            })
+            .filter(|row| !row.is_empty())
+            .collect();
+        let (ids, supports) = frequent.into_iter().unzip();
+        (rows, ids, supports, db.len())
+    }
+
+    /// Raw rows over a small universe (so supports tie), with empty rows
+    /// and a duplicated run of rows.
+    fn arb_rows() -> impl Strategy<Value = Vec<Vec<Item>>> {
+        (
+            prop::collection::vec(
+                prop::collection::btree_set(0u32..12, 0..7)
+                    .prop_map(|s| s.into_iter().collect::<Vec<Item>>()),
+                0..40,
+            ),
+            0usize..12,
+        )
+            .prop_map(|(mut rows, dup)| {
+                let dup = dup.min(rows.len());
+                rows.extend_from_within(..dup);
+                rows
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_cut_matches_the_naive_reference(raw in arb_rows()) {
+            let shift = u32::MAX - 15;
+            let shifted: Vec<Vec<Item>> = raw
+                .iter()
+                .map(|t| t.iter().map(|&i| i + shift).collect())
+                .collect();
+            for raw in [raw, shifted] {
+                let max = reference(&TransactionDb::from_transactions(raw.clone()), 1)
+                    .2
+                    .first()
+                    .copied()
+                    .unwrap_or(0);
+                // Ascending builds the rows at the first call; descending
+                // first cuts nothing (rows not built), then builds them.
+                let ascending: Vec<u64> = (0..=max + 1).collect();
+                let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+                for minsups in [ascending, descending] {
+                    let db = TransactionDb::from_transactions(raw.clone());
+                    for s in minsups {
+                        let expect = reference(&db, s);
+                        let mut lens: Vec<usize> = expect.0.iter().map(Vec::len).collect();
+                        lens.sort_unstable_by(|a, b| b.cmp(a));
+                        let bound = bound_from_shape(expect.1.len(), &lens, s);
+                        prop_assert_eq!(candidate_bound(&db, s), bound, "minsup {}", s);
+                        let mut lexed = expect.0.clone();
+                        also::lexorder::lex_order(&mut lexed);
+                        let ranked = remap_lex(&db, s, true, &mut memsim::NullProbe);
+                        prop_assert_eq!(ranked.transactions, lexed, "lex, minsup {}", s);
+                        prop_assert_eq!(parts(remap(&db, s)), expect, "minsup {}", s);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_and_clone_ignore_the_ranking() {
+        let (fresh, ranked) = (toy(), toy());
+        let cloned_fresh = ranked.clone();
+        let _ = remap(&ranked, 2);
+        let cloned_ranked = ranked.clone();
+        assert_eq!(ranked, fresh);
+        assert_eq!(cloned_ranked, cloned_fresh);
+        assert_eq!(format!("{ranked:?}"), format!("{fresh:?}"));
+        for minsup in 0..=5 {
+            let expect = parts(remap(&toy(), minsup));
+            assert_eq!(
+                parts(remap(&cloned_ranked, minsup)),
+                expect,
+                "minsup={minsup}"
+            );
+            assert_eq!(
+                parts(remap(&cloned_fresh, minsup)),
+                expect,
+                "minsup={minsup}"
+            );
+        }
+    }
+
+    /// After the first remap of a database, a remap at another minsup
+    /// allocates only its output — one vector per kept row plus its own
+    /// three — and the bound only its lengths vector: neither counts nor
+    /// sorts again.
+    #[test]
+    fn cuts_of_a_ranked_db_allocate_only_their_output() {
+        let db = TransactionDb::from_transactions(
+            (0..300u32)
+                .map(|k| (0..(2 + k % 9)).map(|i| (k * 7 + i * 13) % 40).collect())
+                .collect(),
+        );
+        let _ = remap(&db, 1);
+        for minsup in [3, 20, 60, 1, 1 << 40] {
+            let (r, count) = count_allocs(|| remap(&db, minsup));
+            let own = if r.n_ranks() > 0 { 3 } else { 0 };
+            if guard_active() {
+                let expect = r.transactions.len() as u64 + own;
+                assert_eq!(count.allocations, expect, "remap at minsup {minsup}");
+            }
+            let (_, count) = count_allocs(|| candidate_bound(&db, minsup));
+            if guard_active() {
+                assert_eq!(count.allocations, 1, "bound at minsup {minsup}");
+            }
+        }
     }
 }

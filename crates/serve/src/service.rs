@@ -33,8 +33,10 @@
 //!    hits, and a request whose probes all miss falls through to mining.
 //! 4. **Admission**: on a miss, the Geerts-style
 //!    [`candidate_bound`](fpm::bound::candidate_bound) is computed from
-//!    shape facts alone; a bound above the configured ceiling rejects
-//!    the request before any mining work is spent.
+//!    shape facts alone, read off the dataset's cached frequency ranking
+//!    (the one the kernel's remap then cuts, so neither ranks the
+//!    dataset again); a bound above the configured ceiling rejects the
+//!    request before any mining work is spent.
 //! 5. **Single-flight**: an admitted miss checks the shard's in-flight
 //!    table, keyed by the **mine key** (the identity slot). If the
 //!    key's All set is already mining, the job *attaches* to it as a
@@ -842,7 +844,8 @@ fn handle_job(inner: &Inner, shard: &Shard, job: Job) {
         return;
     }
 
-    // Admission control: the Geerts-style bound from shape facts alone.
+    // Admission control: the Geerts-style bound from shape facts alone,
+    // read off the dataset's cached ranking (`fpm::remap`).
     // The chaos admission-flap site can force the rejection branch for
     // an otherwise admissible request (constant `false` without the
     // `chaos` feature), exercising the same accounting path.
