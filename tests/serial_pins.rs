@@ -8,10 +8,17 @@
 //! and writes, and an FNV digest of the emitted bytes. None of these
 //! depends on heap addresses, so two processes of one binary agree on
 //! every row. Simulated cycles do depend on addresses and are not pinned.
+//!
+//! A second table pins the query answers the service derives from a
+//! served kernel's serial All set (DESIGN.md §15): the answer's length
+//! and an FNV digest of its bytes, per query and input.
 
 use chaos::goldens::fnv;
-use fpm::{RecordSink, TransactionDb};
+use fpm::{
+    CollectSink, Kernel, MineKind, PatternQuery, PatternSink, RecordSink, RuleSpec, TransactionDb,
+};
 use memsim::trace::{Event, TraceRecorder};
+use quest::{Dataset, Scale};
 
 /// 600 rows over 24 items: item `i` appears with probability about
 /// `(24 - i) / 32`, so low ids are dense and high ids sparse.
@@ -188,5 +195,105 @@ fn serial_entries_match_their_pinned_counters_traces_and_bytes() {
             })
             .collect();
         panic!("serial runs moved off their pins; observed:\n{table}");
+    }
+}
+
+/// The queries pinned on every input: the two classes, a top-k, a rules
+/// filter, and the composed query of CI's query-conformance job.
+fn queries() -> [(&'static str, PatternQuery); 5] {
+    [
+        ("closed", PatternQuery::class(MineKind::Closed)),
+        ("maximal", PatternQuery::class(MineKind::Maximal)),
+        ("top32", PatternQuery::all().top_k(32)),
+        (
+            "rules(c0.9)",
+            PatternQuery::all().rules(RuleSpec::confidence(0.9)),
+        ),
+        (
+            "closed+rules(c0.5,l1)+top10",
+            PatternQuery::class(MineKind::Closed)
+                .rules(RuleSpec {
+                    min_confidence: 0.5,
+                    min_lift: 1.0,
+                })
+                .top_k(10),
+        ),
+    ]
+}
+
+/// The served All sets the queries run on: LCM on each smoke dataset at
+/// query-sessions' lowest supports (DS3 at 850), and FP-Growth and
+/// Eclat, whose serial orders differ from LCM's, on DS4.
+const QUERY_INPUTS: &[(Kernel, Dataset, u64)] = &[
+    (Kernel::Lcm, Dataset::Ds1, 64),
+    (Kernel::Lcm, Dataset::Ds2, 70),
+    (Kernel::Lcm, Dataset::Ds3, 850),
+    (Kernel::Lcm, Dataset::Ds4, 36),
+    (Kernel::FpGrowth, Dataset::Ds4, 54),
+    (Kernel::Eclat, Dataset::Ds4, 54),
+];
+
+/// The expected query answers, as `(label, length, digest)`.
+#[rustfmt::skip]
+const QUERY_PINS: &[(&str, usize, u64)] = &[
+    ("lcm/DS1@64/closed", 3094, 0xd027190bc7cb6d6b),
+    ("lcm/DS1@64/maximal", 1786, 0x9e713fa8f2ebad2a),
+    ("lcm/DS1@64/top32", 32, 0x451df802cac13fee),
+    ("lcm/DS1@64/rules(c0.9)", 3357, 0xd323069139be7bc5),
+    ("lcm/DS1@64/closed+rules(c0.5,l1)+top10", 10, 0x58533fc4d0678139),
+    ("lcm/DS2@70/closed", 4944, 0xcaaa601d150c70b2),
+    ("lcm/DS2@70/maximal", 2241, 0x13db6c2e3fcee4f4),
+    ("lcm/DS2@70/top32", 32, 0x596820f97254796f),
+    ("lcm/DS2@70/rules(c0.9)", 2281, 0x78430c509a4184d1),
+    ("lcm/DS2@70/closed+rules(c0.5,l1)+top10", 10, 0x1bf226c1841fa142),
+    ("lcm/DS3@850/closed", 35, 0xa442ba1b83b6f3d4),
+    ("lcm/DS3@850/maximal", 14, 0xebcccf30fcd974db),
+    ("lcm/DS3@850/top32", 32, 0x5f25f06ea1b3e3cd),
+    ("lcm/DS3@850/rules(c0.9)", 6, 0xf56774747f3d08fe),
+    ("lcm/DS3@850/closed+rules(c0.5,l1)+top10", 10, 0x724670336e3b734b),
+    ("lcm/DS4@36/closed", 7750, 0xf44b29d72c5d314c),
+    ("lcm/DS4@36/maximal", 2325, 0x5fe9b4f6511db9f4),
+    ("lcm/DS4@36/top32", 32, 0x5631b223c2e7709c),
+    ("lcm/DS4@36/rules(c0.9)", 1722, 0xdfca25785fd99a48),
+    ("lcm/DS4@36/closed+rules(c0.5,l1)+top10", 10, 0xeefa306d24f00b52),
+    ("fpgrowth/DS4@54/closed", 4040, 0x7d376ad661e2dd02),
+    ("fpgrowth/DS4@54/maximal", 1286, 0x555bcaf80c54879b),
+    ("fpgrowth/DS4@54/top32", 32, 0x5631b223c2e7709c),
+    ("fpgrowth/DS4@54/rules(c0.9)", 718, 0x59dfd6e4f97a1ecd),
+    ("fpgrowth/DS4@54/closed+rules(c0.5,l1)+top10", 10, 0xeefa306d24f00b52),
+    ("eclat/DS4@54/closed", 4040, 0x86b4ba5391802126),
+    ("eclat/DS4@54/maximal", 1286, 0xf63aab9aa89ccadd),
+    ("eclat/DS4@54/top32", 32, 0x5631b223c2e7709c),
+    ("eclat/DS4@54/rules(c0.9)", 718, 0x20d1dc13207caf45),
+    ("eclat/DS4@54/closed+rules(c0.5,l1)+top10", 10, 0xeefa306d24f00b52),
+];
+
+#[test]
+fn served_query_answers_match_their_pinned_bytes() {
+    let mut got = Vec::new();
+    for &(kernel, dataset, minsup) in QUERY_INPUTS {
+        let db = dataset.generate(Scale::Smoke);
+        let mut all = CollectSink::default();
+        exec::MinePlan::kernel(kernel, minsup).execute(&db, &mut all);
+        for (name, query) in queries() {
+            let answer = query.apply(all.patterns.clone(), db.len() as u64);
+            let mut sink = RecordSink::default();
+            for p in &answer {
+                sink.emit(&p.items, p.support);
+            }
+            let label = format!("{}/{}@{minsup}/{name}", kernel.label(), dataset.label());
+            got.push((label, answer.len(), fnv(&sink.bytes)));
+        }
+    }
+    let want: Vec<(String, usize, u64)> = QUERY_PINS
+        .iter()
+        .map(|&(label, len, digest)| (label.to_string(), len, digest))
+        .collect();
+    if got != want {
+        let table: String = got
+            .iter()
+            .map(|(label, len, digest)| format!("    ({label:?}, {len}, {digest:#x}),\n"))
+            .collect();
+        panic!("query answers moved off their pins; observed:\n{table}");
     }
 }
