@@ -194,7 +194,7 @@ pub fn query_golden(kernel: Kernel, query: &PatternQuery) -> Vec<u8> {
         })
     });
     let idx = Kernel::ALL.iter().position(|k| *k == kernel).expect("known kernel");
-    render(&query.apply(all[idx].clone(), dataset().len() as u64))
+    render(&query.apply(&all[idx], dataset().len() as u64))
 }
 
 /// Renders patterns exactly as [`RecordSink`] would, so service

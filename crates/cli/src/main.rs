@@ -212,7 +212,7 @@ fn mine_with<S: PatternSink>(
         }
         let mut all = CollectSink::default();
         mine(db, minsup, &mut all);
-        for p in query.apply(all.patterns, db.len() as u64) {
+        for p in query.apply(&all.patterns, db.len() as u64) {
             sink.emit(&p.items, p.support);
         }
         return Ok(());

@@ -281,7 +281,7 @@ impl MinePlan {
                 stop_cause: control.stop_cause(),
             };
         }
-        let answer = self.query.apply(input, db.len() as u64);
+        let answer = self.query.apply(&input, db.len() as u64);
         let cut = self
             .max_patterns
             .map_or(answer.len(), |n| answer.len().min(n as usize));
@@ -591,7 +591,7 @@ mod tests {
                 // kernel's own serial All-class output.
                 let mut all = CollectSink::default();
                 MinePlan::kernel(kernel, 2).execute(&db, &mut all);
-                let want = q.apply(all.patterns, n);
+                let want = q.apply(&all.patterns, n);
                 let mut reference: Option<Vec<u8>> = None;
                 for threads in [1usize, 2, 4] {
                     let mut sink = RecordSink::default();

@@ -8,13 +8,20 @@
 //! contract lives there), then applies the query as a deterministic
 //! pure function of that serial-order list:
 //!
-//! 1. **class** — closed/maximal filtering via FastLMFI-style superset
-//!    checking over a prefix-ordered [`SetTrie`] (PAPERS.md), replacing
-//!    the old quadratic one-item-removed scan;
+//! 1. **class** — closed/maximal filtering by one-item extensions. On a
+//!    *complete* frequent set, `X` has a strict superset `Y` of equal
+//!    support iff some one-item extension `X ∪ {i}` has equal support:
+//!    for every `i ∈ Y∖X`, `sup(X) ≥ sup(X ∪ {i}) ≥ sup(Y) = sup(X)`, so
+//!    `X ∪ {i}` is frequent and present. Likewise `X` has a frequent
+//!    strict superset iff some one-item extension is present. So one
+//!    pass over every pattern `Y`'s one-item-removed subsets `Y∖{i}`
+//!    decides both classes exactly. On a list that misses a frequent
+//!    itemset it does not;
 //! 2. **rules** — keep only rule-bearing itemsets: `Z` survives iff
 //!    some single-consequent rule `Z∖{c} ⇒ c` clears the confidence and
 //!    lift thresholds (subset supports come from the complete set, per
-//!    the anti-monotone property they are always present);
+//!    the anti-monotone property they are always present). The same
+//!    pass reads them;
 //! 3. **top-k** — the `k` best survivors by `(support desc, serial
 //!    rank asc)`, emitted in that order, so `top-k(k)` is byte-identical
 //!    to the first `k` lines of `top-k(∞)`.
@@ -151,78 +158,133 @@ impl PatternQuery {
 
     /// Applies the query to a **complete** All-class frequent set in
     /// serial emission order, yielding the answer in output order. The
-    /// rules filter indexes the full set before class filtering so
-    /// subset supports are always resolvable.
-    pub fn apply(&self, all: Vec<ItemsetCount>, n_transactions: u64) -> Vec<ItemsetCount> {
+    /// input is borrowed: only the answer's patterns are cloned. Class and
+    /// rules read one pass over every pattern's one-item-removed subsets
+    /// (module docs), which is exact only on a complete set.
+    pub fn apply(&self, all: impl AsRef<[ItemsetCount]>, n_transactions: u64) -> Vec<ItemsetCount> {
+        let all = all.as_ref();
         if self.is_all() {
-            return all;
+            return all.to_vec();
         }
-        // deterministic-iteration audit: this map is probed with `get`
-        // only; output order comes from walking the serial-order Vec.
-        let index: Option<HashMap<Vec<Item>, u64>> = self.rules.map(|_| support_index(&all));
-        let classed = match self.class {
-            MineKind::All => all,
-            MineKind::Closed => closed(all),
-            MineKind::Maximal => maximal(all),
-        };
-        let ruled = match (self.rules, &index) {
-            (Some(spec), Some(index)) => classed
-                .into_iter()
-                .filter(|p| bears_rule(p, index, n_transactions, &spec))
-                .collect(),
-            _ => classed,
-        };
-        match self.top_k {
-            Some(k) => top_k_select(ruled, k),
-            None => ruled,
+        let mut facts = vec![0u8; all.len()];
+        if self.class != MineKind::All || self.rules.is_some() {
+            let sorted = Sorted::new(all);
+            let position = sorted.positions();
+            let rules = self.rules.filter(|_| n_transactions > 0);
+            let n = n_transactions as f64;
+            sorted.for_each_subset(&position, |y, x, drop| {
+                facts[x] |= EXTENDED;
+                if all[x].support == all[y].support {
+                    facts[x] |= EXTENDED_EQUAL;
+                }
+                let Some(spec) = rules.filter(|_| facts[y] & BEARS_RULE == 0) else {
+                    return;
+                };
+                if let Some(&c) = position.get(&sorted.get(y)[drop..=drop]) {
+                    if spec
+                        .measure(all[y].support, all[x].support, all[c].support, n)
+                        .is_some()
+                    {
+                        facts[y] |= BEARS_RULE;
+                    }
+                }
+            });
         }
+        let refuted = match self.class {
+            MineKind::All => 0,
+            MineKind::Closed => EXTENDED_EQUAL,
+            MineKind::Maximal => EXTENDED,
+        };
+        let required = if self.rules.is_some() { BEARS_RULE } else { 0 };
+        let mut kept = Vec::with_capacity(all.len());
+        kept.extend((0..all.len()).filter(|&p| facts[p] & (refuted | required) == required));
+        if let Some(k) = self.top_k {
+            // The k best by (support desc, serial rank asc), in that order.
+            let key = |&p: &usize| (Reverse(all[p].support), p);
+            let k = usize::try_from(k).unwrap_or(usize::MAX);
+            if k < kept.len() {
+                kept.select_nth_unstable_by_key(k, key);
+                kept.truncate(k);
+            }
+            kept.sort_unstable_by_key(key);
+        }
+        kept.iter().map(|&p| all[p].clone()).collect()
     }
 }
 
-/// Indexes a pattern list by sorted itemset for support lookups.
-fn support_index(patterns: &[ItemsetCount]) -> HashMap<Vec<Item>, u64> {
-    patterns
-        .iter()
-        .map(|p| {
-            let mut k = p.items.clone();
-            k.sort_unstable();
-            (k, p.support)
-        })
-        .collect()
-}
+/// `facts` bit: some one-item extension is frequent (not maximal).
+const EXTENDED: u8 = 1;
+/// `facts` bit: some one-item extension has equal support (not closed).
+const EXTENDED_EQUAL: u8 = 2;
+/// `facts` bit: some rule `Z∖{c} ⇒ c` over the pattern clears the spec.
+const BEARS_RULE: u8 = 4;
 
-/// `true` iff some single-consequent rule `Z∖{c} ⇒ c` over itemset `p`
-/// clears both thresholds. Subset supports come from `index` (built over
-/// the complete frequent set, so they are always present).
-fn bears_rule(
-    p: &ItemsetCount,
-    index: &HashMap<Vec<Item>, u64>,
-    n_transactions: u64,
-    spec: &RuleSpec,
-) -> bool {
-    let mut items = p.items.clone();
-    items.sort_unstable();
-    if items.len() < 2 || n_transactions == 0 {
-        return false;
-    }
-    let n = n_transactions as f64;
-    let mut antecedent = Vec::with_capacity(items.len() - 1);
-    for drop in 0..items.len() {
-        antecedent.clear();
-        antecedent.extend_from_slice(&items[..drop]);
-        antecedent.extend_from_slice(&items[drop + 1..]);
-        let (Some(&sup_a), Some(&sup_c)) =
-            (index.get(antecedent.as_slice()), index.get(&items[drop..=drop]))
-        else {
-            continue;
-        };
-        let confidence = p.support as f64 / sup_a as f64;
+impl RuleSpec {
+    /// The confidence and lift of `A ⇒ c` from `sup(A ∪ {c})`, `sup(A)`
+    /// and `sup({c})` over `n` transactions, if both clear their minimums.
+    fn measure(&self, sup_z: u64, sup_a: u64, sup_c: u64, n: f64) -> Option<(f64, f64)> {
+        let confidence = sup_z as f64 / sup_a as f64;
         let lift = confidence * n / sup_c as f64;
-        if confidence >= spec.min_confidence && lift >= spec.min_lift {
-            return true;
+        (confidence >= self.min_confidence && lift >= self.min_lift).then_some((confidence, lift))
+    }
+}
+
+/// Every pattern's itemset, sorted ascending, end to end in one buffer:
+/// pattern `p` holds `items[ends[p]..ends[p + 1]]`.
+struct Sorted {
+    items: Vec<Item>,
+    ends: Vec<usize>,
+}
+
+impl Sorted {
+    fn new(all: &[ItemsetCount]) -> Sorted {
+        let mut items = Vec::with_capacity(all.iter().map(|p| p.items.len()).sum());
+        let mut ends = Vec::with_capacity(all.len() + 1);
+        ends.push(0);
+        for p in all {
+            let start = items.len();
+            items.extend_from_slice(&p.items);
+            items[start..].sort_unstable();
+            ends.push(items.len());
+        }
+        Sorted { items, ends }
+    }
+
+    fn get(&self, p: usize) -> &[Item] {
+        &self.items[self.ends[p]..self.ends[p + 1]]
+    }
+
+    /// Each sorted itemset's serial position, looked up by content.
+    fn positions(&self) -> HashMap<&[Item], usize> {
+        // deterministic-iteration audit: this map is probed with `get`
+        // only; every answer walks the serial-order slice.
+        (0..self.ends.len() - 1).map(|p| (self.get(p), p)).collect()
+    }
+
+    /// Calls `visit(y, x, drop)` for every pattern `y` and every position
+    /// `drop` in its sorted itemset whose removal leaves a pattern `x`.
+    fn for_each_subset(
+        &self,
+        position: &HashMap<&[Item], usize>,
+        mut visit: impl FnMut(usize, usize, usize),
+    ) {
+        let longest = self.ends.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut subset = Vec::with_capacity(longest);
+        for y in 0..self.ends.len() - 1 {
+            let items = self.get(y);
+            if items.len() < 2 {
+                continue;
+            }
+            for drop in 0..items.len() {
+                subset.clear();
+                subset.extend_from_slice(&items[..drop]);
+                subset.extend_from_slice(&items[drop + 1..]);
+                if let Some(&x) = position.get(subset.as_slice()) {
+                    visit(y, x, drop);
+                }
+            }
         }
     }
-    false
 }
 
 /// One generated association rule `antecedent ⇒ consequent`.
@@ -243,65 +305,36 @@ pub struct Rule {
 /// Generates every single-consequent rule over a **complete** frequent
 /// set that clears `spec`, in deterministic order: serial rank of the
 /// source itemset, then consequent position.
-pub fn rules(
-    all: &[ItemsetCount],
-    n_transactions: u64,
-    spec: &RuleSpec,
-) -> Vec<Rule> {
-    // deterministic-iteration audit: probed with `get` only; output
-    // order walks the serial-order slice.
-    let index = support_index(all);
+pub fn rules(all: &[ItemsetCount], n_transactions: u64, spec: &RuleSpec) -> Vec<Rule> {
     let mut out = Vec::new();
     if n_transactions == 0 {
         return out;
     }
     let n = n_transactions as f64;
-    for p in all {
-        let mut items = p.items.clone();
-        items.sort_unstable();
-        if items.len() < 2 {
-            continue;
+    let sorted = Sorted::new(all);
+    let position = sorted.positions();
+    sorted.for_each_subset(&position, |y, x, drop| {
+        let consequent = &sorted.get(y)[drop..=drop];
+        let Some(&c) = position.get(consequent) else {
+            return;
+        };
+        let support = all[y].support;
+        if let Some((confidence, lift)) = spec.measure(support, all[x].support, all[c].support, n) {
+            out.push(Rule {
+                antecedent: sorted.get(x).to_vec(),
+                consequent: consequent[0],
+                support,
+                confidence,
+                lift,
+            });
         }
-        let mut antecedent = Vec::with_capacity(items.len() - 1);
-        for drop in 0..items.len() {
-            antecedent.clear();
-            antecedent.extend_from_slice(&items[..drop]);
-            antecedent.extend_from_slice(&items[drop + 1..]);
-            let (Some(&sup_a), Some(&sup_c)) =
-                (index.get(antecedent.as_slice()), index.get(&items[drop..=drop]))
-            else {
-                continue;
-            };
-            let confidence = p.support as f64 / sup_a as f64;
-            let lift = confidence * n / sup_c as f64;
-            if confidence >= spec.min_confidence && lift >= spec.min_lift {
-                out.push(Rule {
-                    antecedent: antecedent.clone(),
-                    consequent: items[drop],
-                    support: p.support,
-                    confidence,
-                    lift,
-                });
-            }
-        }
-    }
+    });
     out
 }
 
-/// Keeps the `k` best patterns by `(support desc, serial rank asc)` and
-/// emits them in that order — so the output for `k` is byte-identical to
-/// the first `k` lines of the output for any larger bound.
-fn top_k_select(patterns: Vec<ItemsetCount>, k: u64) -> Vec<ItemsetCount> {
-    let mut acc = TopKHeap::new(k);
-    for p in patterns {
-        acc.offer(p);
-    }
-    acc.finish()
-}
-
-/// The bounded selection heap behind top-k, usable either after the fact
-/// (`top_k_select` inside [`PatternQuery::apply`]) or as a streaming
-/// [`PatternSink`] via [`TopKSink`]. Tracks the dynamic support floor:
+/// The bounded selection heap behind the streaming top-k sink
+/// ([`TopKSink`]); it keeps what [`PatternQuery::apply`] selects from a
+/// collected list. Tracks the dynamic support floor:
 /// once `k` patterns are held, a candidate needs support strictly above
 /// the worst kept entry to displace it (ties lose to the earlier serial
 /// rank), so the floor is `worst + 1`.
@@ -401,172 +434,14 @@ impl PatternSink for TopKSink<'_> {
     }
 }
 
-/// A prefix-ordered set-trie over itemsets (items sorted ascending along
-/// every path), supporting FastLMFI-style superset existence checks with
-/// max-subtree-support pruning — the engine behind [`closed`] and
-/// [`maximal`].
-#[derive(Debug, Default)]
-pub struct SetTrie {
-    nodes: Vec<TrieNode>,
-}
-
-#[derive(Debug)]
-struct TrieNode {
-    /// Children sorted ascending by item — deterministic and
-    /// prefix-ordered, so superset search can prune on item order.
-    children: Vec<(Item, u32)>,
-    /// Support of the itemset terminating here, if any does.
-    support: Option<u64>,
-    /// Max terminal support in this subtree (pruning bound: supports are
-    /// anti-monotone, so an equal-support superset search can skip any
-    /// subtree whose bound is below the target).
-    max_sub: u64,
-}
-
-impl TrieNode {
-    fn new() -> TrieNode {
-        TrieNode { children: Vec::new(), support: None, max_sub: 0 }
-    }
-}
-
-impl SetTrie {
-    /// An empty trie.
-    pub fn new() -> SetTrie {
-        SetTrie { nodes: vec![TrieNode::new()] }
-    }
-
-    /// Builds a trie over a pattern list (itemsets are sorted per entry;
-    /// the input order does not matter).
-    pub fn build(patterns: &[ItemsetCount]) -> SetTrie {
-        let mut trie = SetTrie::new();
-        let mut key = Vec::new();
-        for p in patterns {
-            key.clear();
-            key.extend_from_slice(&p.items);
-            key.sort_unstable();
-            trie.insert(&key, p.support);
-        }
-        trie
-    }
-
-    /// Inserts `items` (must be sorted ascending) with its support.
-    pub fn insert(&mut self, items: &[Item], support: u64) {
-        let mut node = 0usize;
-        self.nodes[node].max_sub = self.nodes[node].max_sub.max(support);
-        for &item in items {
-            let next = match self.nodes[node].children.binary_search_by_key(&item, |c| c.0) {
-                Ok(i) => self.nodes[node].children[i].1 as usize,
-                Err(i) => {
-                    let id = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::new());
-                    self.nodes[node].children.insert(i, (item, id));
-                    id as usize
-                }
-            };
-            node = next;
-            self.nodes[node].max_sub = self.nodes[node].max_sub.max(support);
-        }
-        self.nodes[node].support = Some(support);
-    }
-
-    /// `true` iff the trie holds a **strict** superset of `items` (which
-    /// must be sorted ascending), regardless of support.
-    pub fn has_strict_superset(&self, items: &[Item]) -> bool {
-        self.search(0, items, false, None)
-    }
-
-    /// `true` iff the trie holds a strict superset of `items` whose
-    /// support equals `support` — the closedness refutation. Prunes on
-    /// the per-subtree support bound.
-    pub fn has_equal_support_superset(&self, items: &[Item], support: u64) -> bool {
-        self.search(0, items, false, Some(support))
-    }
-
-    /// Core superset search. `extra` records whether the path already
-    /// took an item outside `items` (strictness); `target` restricts
-    /// hits to terminals of exactly that support.
-    fn search(&self, node: usize, items: &[Item], extra: bool, target: Option<u64>) -> bool {
-        let n = &self.nodes[node];
-        if let Some(t) = target {
-            if n.max_sub < t {
-                return false;
-            }
-        }
-        if items.is_empty() {
-            if extra {
-                match target {
-                    // Every subtree of an inserted path contains a
-                    // terminal, so any strict superset position is a hit.
-                    None => return true,
-                    Some(t) => {
-                        if n.support == Some(t) {
-                            return true;
-                        }
-                    }
-                }
-            }
-            return n
-                .children
-                .iter()
-                .any(|&(_, c)| self.search(c as usize, items, true, target));
-        }
-        let next = items[0];
-        for &(item, child) in &n.children {
-            if item > next {
-                // Children are ascending: nothing deeper can contain `next`.
-                break;
-            }
-            let hit = if item == next {
-                self.search(child as usize, &items[1..], extra, target)
-            } else {
-                self.search(child as usize, items, true, target)
-            };
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Filters a complete frequent set down to the closed itemsets (no
-/// strict superset of equal support), preserving input order.
-pub fn closed(patterns: Vec<ItemsetCount>) -> Vec<ItemsetCount> {
-    let trie = SetTrie::build(&patterns);
-    let mut key = Vec::new();
-    patterns
-        .into_iter()
-        .filter(|p| {
-            key.clear();
-            key.extend_from_slice(&p.items);
-            key.sort_unstable();
-            !trie.has_equal_support_superset(&key, p.support)
-        })
-        .collect()
-}
-
-/// Filters a complete frequent set down to the maximal itemsets (no
-/// strict frequent superset), preserving input order.
-pub fn maximal(patterns: Vec<ItemsetCount>) -> Vec<ItemsetCount> {
-    let trie = SetTrie::build(&patterns);
-    let mut key = Vec::new();
-    patterns
-        .into_iter()
-        .filter(|p| {
-            key.clear();
-            key.extend_from_slice(&p.items);
-            key.sort_unstable();
-            !trie.has_strict_superset(&key)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc_guard::{count_allocs, guard_active};
     use crate::db::TransactionDb;
-    use crate::naive;
-    use crate::types::canonicalize;
+    use crate::sink::CollectSink;
+    use crate::{hmine, naive};
+    use proptest::prelude::*;
 
     fn toy() -> TransactionDb {
         TransactionDb::from_transactions(vec![
@@ -578,13 +453,100 @@ mod tests {
         ])
     }
 
+    fn closed() -> PatternQuery {
+        PatternQuery::class(MineKind::Closed)
+    }
+
+    fn maximal() -> PatternQuery {
+        PatternQuery::class(MineKind::Maximal)
+    }
+
+    /// 80 rows over 11 items, each item in a row with probability 1/3.
+    fn pseudorandom() -> TransactionDb {
+        let mut s = 17u64;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        TransactionDb::from_transactions(
+            (0..80)
+                .map(|_| (0..11u32).filter(|_| rnd() % 3 == 0).collect::<Vec<_>>())
+                .collect(),
+        )
+    }
+
+    /// H-Mine's serial All set.
+    fn hmine_all(db: &TransactionDb, minsup: u64) -> Vec<ItemsetCount> {
+        let mut sink = CollectSink::default();
+        hmine::mine(db, minsup, &mut sink);
+        sink.patterns
+    }
+
+    /// `q`'s answer by the quadratic definitions, applied step by step in
+    /// input order: class, rules, then a stable sort by support
+    /// descending cut to `k`.
+    fn reference(q: &PatternQuery, all: &[ItemsetCount], n: u64) -> Vec<ItemsetCount> {
+        let sets: Vec<Vec<Item>> = all
+            .iter()
+            .map(|p| {
+                let mut s = p.items.clone();
+                s.sort_unstable();
+                s
+            })
+            .collect();
+        let strictly_within = |small: &[Item], big: &[Item]| {
+            small.len() < big.len() && small.iter().all(|i| big.contains(i))
+        };
+        let support = |items: &[Item]| sets.iter().position(|s| s == items).map(|j| all[j].support);
+        let class_keeps = |i: usize| {
+            let mut supersets = (0..all.len()).filter(|&j| strictly_within(&sets[i], &sets[j]));
+            match q.class {
+                MineKind::All => true,
+                MineKind::Closed => !supersets.any(|j| all[j].support == all[i].support),
+                MineKind::Maximal => supersets.next().is_none(),
+            }
+        };
+        let bears_rule = |i: usize, spec: &RuleSpec| {
+            let z = &sets[i];
+            n > 0
+                && z.len() >= 2
+                && (0..z.len()).any(|drop| {
+                    let mut a = z.clone();
+                    let c = a.remove(drop);
+                    let (Some(sup_a), Some(sup_c)) = (support(&a), support(&[c])) else {
+                        return false;
+                    };
+                    let confidence = all[i].support as f64 / sup_a as f64;
+                    let lift = confidence * n as f64 / sup_c as f64;
+                    confidence >= spec.min_confidence && lift >= spec.min_lift
+                })
+        };
+        let mut out: Vec<ItemsetCount> = (0..all.len())
+            .filter(|&i| {
+                class_keeps(i)
+                    && match q.rules {
+                        None => true,
+                        Some(spec) => bears_rule(i, &spec),
+                    }
+            })
+            .map(|i| all[i].clone())
+            .collect();
+        if let Some(k) = q.top_k {
+            out.sort_by_key(|p| Reverse(p.support));
+            out.truncate(k as usize);
+        }
+        out
+    }
+
     #[test]
     fn default_query_is_identity() {
         let q = PatternQuery::default();
         assert!(q.is_all());
         assert_eq!(q.key(), QueryKey::default());
         let all = naive::mine(&toy(), 2);
-        assert_eq!(q.apply(all.clone(), 5), all);
+        assert_eq!(q.apply(&all, 5), all);
     }
 
     #[test]
@@ -605,68 +567,37 @@ mod tests {
     }
 
     #[test]
-    fn trie_filters_match_naive_oracle() {
-        for minsup in 1..=4u64 {
-            let all = naive::mine(&toy(), minsup);
-            assert_eq!(
-                canonicalize(closed(all.clone())),
-                canonicalize(naive::mine_kind(&toy(), minsup, MineKind::Closed)),
-                "closed minsup={minsup}"
-            );
-            assert_eq!(
-                canonicalize(maximal(all)),
-                canonicalize(naive::mine_kind(&toy(), minsup, MineKind::Maximal)),
-                "maximal minsup={minsup}"
-            );
-        }
-    }
-
-    #[test]
-    fn trie_filters_match_naive_on_pseudorandom() {
-        let mut s = 17u64;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let db = TransactionDb::from_transactions(
-            (0..80)
-                .map(|_| (0..11u32).filter(|_| rnd() % 3 == 0).collect::<Vec<_>>())
-                .collect(),
-        );
-        for minsup in [2u64, 5, 9] {
-            let all = naive::mine(&db, minsup);
-            assert_eq!(
-                canonicalize(closed(all.clone())),
-                canonicalize(naive::mine_kind(&db, minsup, MineKind::Closed)),
-                "minsup={minsup}"
-            );
-            assert_eq!(
-                canonicalize(maximal(all)),
-                canonicalize(naive::mine_kind(&db, minsup, MineKind::Maximal)),
-                "minsup={minsup}"
-            );
+    fn class_filters_match_naive_oracle() {
+        // The oracle filters its own serial list, so the answers agree in
+        // order, not just as sets.
+        for (db, minsups) in [
+            (toy(), vec![1u64, 2, 3, 4]),
+            (pseudorandom(), vec![2, 5, 9]),
+        ] {
+            let n = db.len() as u64;
+            for minsup in minsups {
+                let all = naive::mine(&db, minsup);
+                for (q, kind) in [(closed(), MineKind::Closed), (maximal(), MineKind::Maximal)] {
+                    assert_eq!(
+                        q.apply(&all, n),
+                        naive::mine_kind(&db, minsup, kind),
+                        "{} minsup={minsup}",
+                        q.label()
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn maximal_subset_of_closed_subset_of_all() {
         let all = naive::mine(&toy(), 2);
-        let c = closed(all.clone());
-        let m = maximal(all.clone());
+        let c = closed().apply(&all, 5);
+        let m = maximal().apply(&all, 5);
         assert!(m.len() <= c.len() && c.len() <= all.len());
-        let cset: std::collections::HashSet<_> =
-            c.iter().map(|p| p.items.clone()).collect();
         for p in &m {
-            assert!(cset.contains(&p.items), "maximal must be closed");
+            assert!(c.contains(p), "maximal must be closed");
         }
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(closed(vec![]).is_empty());
-        assert!(maximal(vec![]).is_empty());
     }
 
     #[test]
@@ -675,34 +606,17 @@ mod tests {
             ItemsetCount { items: vec![0], support: 3 },
             ItemsetCount { items: vec![1], support: 2 },
         ];
-        assert_eq!(closed(ps.clone()).len(), 2);
-        assert_eq!(maximal(ps).len(), 2);
-    }
-
-    #[test]
-    fn preserves_serial_input_order() {
-        // The filters must keep survivors in input (serial emission)
-        // order — the executor's byte-identity depends on it.
-        let all = naive::mine(&toy(), 2);
-        let c = closed(all.clone());
-        let mut it = all.iter();
-        for p in &c {
-            assert!(it.any(|q| q == p), "closed output must be a subsequence");
-        }
-        let m = maximal(all.clone());
-        let mut it = all.iter();
-        for p in &m {
-            assert!(it.any(|q| q == p), "maximal output must be a subsequence");
-        }
+        assert_eq!(closed().apply(&ps, 5), ps);
+        assert_eq!(maximal().apply(&ps, 5), ps);
     }
 
     #[test]
     fn top_k_is_truncation_of_larger_k() {
         let all = naive::mine(&toy(), 1);
-        let full = PatternQuery::all().top_k(u64::MAX).apply(all.clone(), 5);
+        let full = PatternQuery::all().top_k(u64::MAX).apply(&all, 5);
         assert_eq!(full.len(), all.len());
         for k in 0..=all.len() as u64 {
-            let got = PatternQuery::all().top_k(k).apply(all.clone(), 5);
+            let got = PatternQuery::all().top_k(k).apply(&all, 5);
             assert_eq!(got.as_slice(), &full[..k as usize], "k={k}");
         }
         // Sorted by support desc; ties broken by serial rank (stable).
@@ -721,7 +635,7 @@ mod tests {
                 sink.emit(&p.items, p.support);
             }
             let streamed = sink.finish();
-            let selected = PatternQuery::all().top_k(k).apply(all.clone(), 5);
+            let selected = PatternQuery::all().top_k(k).apply(&all, 5);
             assert_eq!(streamed, selected, "k={k}");
             if k > 0 && (k as usize) < all.len() {
                 assert!(control.support_floor() > 0, "floor must rise for k={k}");
@@ -738,7 +652,7 @@ mod tests {
         // with confidence >= 0 and lift >= 0.
         let loose = PatternQuery::all()
             .rules(RuleSpec { min_confidence: 0.0, min_lift: 0.0 })
-            .apply(all.clone(), n);
+            .apply(&all, n);
         assert!(loose.iter().all(|p| p.items.len() >= 2));
         assert_eq!(
             loose.len(),
@@ -747,12 +661,12 @@ mod tests {
         // Impossible confidence: nothing survives.
         let none = PatternQuery::all()
             .rules(RuleSpec::confidence(1.1))
-            .apply(all.clone(), n);
+            .apply(&all, n);
         assert!(none.is_empty());
         // Perfect-confidence rules exist in the toy: {c,f} sup 4, {c} sup 4.
         let perfect = PatternQuery::all()
             .rules(RuleSpec::confidence(1.0))
-            .apply(all.clone(), n);
+            .apply(&all, n);
         assert!(perfect.iter().any(|p| {
             let mut k = p.items.clone();
             k.sort_unstable();
@@ -767,14 +681,22 @@ mod tests {
         let n = db.len() as u64;
         let rs = rules(&all, n, &RuleSpec { min_confidence: 0.0, min_lift: 0.0 });
         // Every rule's numbers recompute from first principles.
-        let index = support_index(&all);
+        let support = |items: &[Item]| {
+            all.iter()
+                .find(|p| {
+                    let mut k = p.items.clone();
+                    k.sort_unstable();
+                    k == items
+                })
+                .map(|p| p.support)
+        };
         for r in &rs {
             let mut z = r.antecedent.clone();
             z.push(r.consequent);
             z.sort_unstable();
-            assert_eq!(index.get(&z), Some(&r.support));
-            let sup_a = index[r.antecedent.as_slice()];
-            let sup_c = index[&[r.consequent][..]];
+            assert_eq!(support(&z), Some(r.support));
+            let sup_a = support(&r.antecedent).expect("antecedent is frequent");
+            let sup_c = support(&[r.consequent]).expect("consequent is frequent");
             assert!((r.confidence - r.support as f64 / sup_a as f64).abs() < 1e-12);
             assert!(
                 (r.lift - r.confidence * n as f64 / sup_c as f64).abs() < 1e-12
@@ -803,46 +725,125 @@ mod tests {
         let db = toy();
         let all = naive::mine(&db, 2);
         let n = db.len() as u64;
-        let q = PatternQuery::class(MineKind::Closed)
+        let q = closed()
             .rules(RuleSpec { min_confidence: 0.5, min_lift: 0.0 })
             .top_k(2);
-        let got = q.apply(all.clone(), n);
-        // Reference: filter step by step.
-        let step = closed(all.clone());
-        let index = support_index(&all);
-        let spec = RuleSpec { min_confidence: 0.5, min_lift: 0.0 };
-        let step: Vec<_> = step
-            .into_iter()
-            .filter(|p| bears_rule(p, &index, n, &spec))
-            .collect();
-        let mut want = PatternQuery::all().top_k(2).apply(step, n);
-        want.truncate(2);
-        assert_eq!(got, want);
-        assert!(got.len() <= 2);
-    }
-
-    #[test]
-    fn trie_superset_checks_directly() {
-        let mut trie = SetTrie::new();
-        trie.insert(&[1, 2, 3], 4);
-        trie.insert(&[2, 3], 4);
-        trie.insert(&[5], 9);
-        assert!(trie.has_strict_superset(&[2, 3]));
-        assert!(trie.has_strict_superset(&[1, 3]));
-        assert!(trie.has_strict_superset(&[]), "empty set has supersets");
-        assert!(!trie.has_strict_superset(&[1, 2, 3]));
-        assert!(!trie.has_strict_superset(&[5]));
-        assert!(!trie.has_strict_superset(&[6]));
-        assert!(trie.has_equal_support_superset(&[2, 3], 4));
-        assert!(!trie.has_equal_support_superset(&[2, 3], 3), "support must match exactly");
-        assert!(!trie.has_equal_support_superset(&[5], 9), "no strict superset of {{5}}");
+        let got = q.apply(&all, n);
+        assert_eq!(got, reference(&q, &all, n));
+        assert_eq!(got.len(), 2);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(closed(vec![]).is_empty());
-        assert!(maximal(vec![]).is_empty());
-        assert!(PatternQuery::all().top_k(5).apply(vec![], 10).is_empty());
+        for q in [closed(), maximal(), PatternQuery::all().top_k(5)] {
+            assert!(q.apply(&[], 10).is_empty(), "{}", q.label());
+        }
         assert!(rules(&[], 10, &RuleSpec::confidence(0.0)).is_empty());
+    }
+
+    #[test]
+    fn derived_answers_allocate_once_per_survivor() {
+        // The index path allocates the per-pattern facts, the sorted
+        // buffer and its ends, the position map, the subset scratch, the
+        // kept positions and the answer: none per pattern, and no copy of
+        // the input. Each survivor then clones its itemset once.
+        const FIXED: u64 = 7;
+        let db = pseudorandom();
+        let n = db.len() as u64;
+        let queries = [
+            closed(),
+            maximal(),
+            PatternQuery::all().rules(RuleSpec::confidence(0.5)),
+            closed()
+                .rules(RuleSpec { min_confidence: 0.5, min_lift: 1.0 })
+                .top_k(10),
+        ];
+        for minsup in [2u64, 5] {
+            let all = hmine_all(&db, minsup);
+            for q in &queries {
+                let (answer, count) = count_allocs(|| q.apply(&all, n));
+                assert!(!answer.is_empty(), "{}", q.label());
+                if guard_active() {
+                    assert_eq!(
+                        count.allocations,
+                        FIXED + answer.len() as u64,
+                        "{} over {} patterns",
+                        q.label(),
+                        all.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rows over a small universe (so supports tie), with empty rows and
+    /// a duplicated run of rows.
+    fn arb_rows() -> impl Strategy<Value = Vec<Vec<Item>>> {
+        (
+            prop::collection::vec(
+                prop::collection::btree_set(0u32..10, 0..6)
+                    .prop_map(|s| s.into_iter().collect::<Vec<Item>>()),
+                0..30,
+            ),
+            0usize..10,
+        )
+            .prop_map(|(mut rows, dup)| {
+                let dup = dup.min(rows.len());
+                rows.extend_from_within(..dup);
+                rows
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn apply_matches_the_quadratic_definitions_in_order(
+            raw in arb_rows(),
+            minsup in 1u64..5,
+            shuffle in any::<u64>(),
+            confidence in 0usize..5,
+            lift in 0usize..3,
+            k in 0u64..12,
+        ) {
+            let spec = RuleSpec {
+                min_confidence: [0.0, 0.5, 0.75, 0.9, 1.0][confidence],
+                min_lift: [0.0, 1.0, 1.2][lift],
+            };
+            let shift = u32::MAX - 15;
+            let shifted: Vec<Vec<Item>> = raw
+                .iter()
+                .map(|t| t.iter().map(|&i| i + shift).collect())
+                .collect();
+            let plain = TransactionDb::from_transactions(raw);
+            let high = TransactionDb::from_transactions(shifted);
+            // Every serial order of a complete set is a valid input: H-Mine's
+            // depth-first order on both id ranges, the naive miner's
+            // lexicographic one (it enumerates every id, so small ids
+            // only), and a random permutation with supersets anywhere.
+            let mut orders = vec![hmine_all(&plain, minsup), hmine_all(&high, minsup)];
+            orders.push(naive::mine(&plain, minsup));
+            let mut permuted = hmine_all(&high, minsup);
+            let mut s = shuffle | 1;
+            for i in (1..permuted.len()).rev() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                permuted.swap(i, (s % (i as u64 + 1)) as usize);
+            }
+            orders.push(permuted);
+            let n = plain.len() as u64;
+            for all in &orders {
+                for class in [MineKind::All, MineKind::Closed, MineKind::Maximal] {
+                    for rules in [None, Some(spec)] {
+                        for top_k in [None, Some(k)] {
+                            let q = PatternQuery { class, top_k, rules };
+                            let want = reference(&q, all, n);
+                            prop_assert_eq!(q.apply(all, n), want, "{}", q.label());
+                        }
+                    }
+                }
+            }
+        }
     }
 }

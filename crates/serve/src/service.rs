@@ -762,7 +762,7 @@ impl<'s> Derived<'s> {
         if let Some(answer) = self.answers.get(&qk) {
             return Arc::clone(answer);
         }
-        let answer = Arc::new(query.apply((*self.all).clone(), self.n_transactions));
+        let answer = Arc::new(query.apply(self.all.as_slice(), self.n_transactions));
         let (fp, kernel, minsup, _) = self.mine_key;
         let evicted = self
             .shard

@@ -154,7 +154,7 @@ proptest! {
         let full = mine(&db, Kernel::Lcm, minsup);
         let mut artifact = Artifact::build(SpecMeta::named("ds1", "smoke"), &db);
         for q in &queries {
-            let answer = q.apply(full.clone(), db.len() as u64);
+            let answer = q.apply(&full, db.len() as u64);
             artifact.push_result(Kernel::Lcm.code(), minsup, q.key(), answer);
         }
         prop_assert_eq!(artifact.results.len(), queries.len());
@@ -171,7 +171,7 @@ proptest! {
                 .expect("per-query slot persisted");
             prop_assert_eq!(
                 &entry.patterns,
-                &q.apply(full.clone(), db.len() as u64),
+                &q.apply(&full, db.len() as u64),
                 "{}", q.label()
             );
         }
