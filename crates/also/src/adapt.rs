@@ -76,29 +76,6 @@ pub enum ContainerKind {
 /// roaring 4096 crossover).
 pub const ARRAY_MAX: usize = 4096;
 
-/// Cardinality **below** which a bitmap demotes back to an array on
-/// removal. Strictly less than [`ARRAY_MAX`]: the band
-/// `ARRAY_DEMOTE ..= ARRAY_MAX` is the hysteresis region where a chunk
-/// keeps its bitmap, so a workload oscillating around the crossover does
-/// not thrash between shapes (promotion and demotion each cost a full
-/// chunk rewrite).
-pub const ARRAY_DEMOTE: usize = ARRAY_MAX - 512;
-
-/// Whether an array that just grew to `card` elements should promote to a
-/// bitmap (insert path).
-#[inline]
-pub fn should_promote(card: usize) -> bool {
-    card > ARRAY_MAX
-}
-
-/// Whether a bitmap that just shrank to `card` elements should demote to
-/// an array (remove path). Deliberately below the promote threshold —
-/// see [`ARRAY_DEMOTE`].
-#[inline]
-pub fn should_demote(card: usize) -> bool {
-    card < ARRAY_DEMOTE
-}
-
 /// Static cost rule choosing the cheapest container for a chunk with
 /// `card` values forming `n_runs` maximal intervals: compares exact
 /// storage bytes (array `2·card` when it fits, bitmap 8 KiB, runs

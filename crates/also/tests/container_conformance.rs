@@ -1,15 +1,14 @@
-//! Differential container-conformance battery: every hybrid-container
-//! operation checked against a naive `BTreeSet<u32>` oracle (DESIGN.md
-//! §16).
+//! Differential container-conformance battery: the hybrid-container AND
+//! that Eclat runs, checked against a naive `BTreeSet<u32>` oracle
+//! (DESIGN.md §16).
 //!
 //! The directed half pins all nine container type pairs (array, bitmap,
-//! runs — forced explicitly) for AND/OR/ANDNOT plus `multi_and`, `rank`,
-//! and iteration, at the chunk-boundary values 0, 65535, 65536. The
-//! property half throws randomized shapes and add/remove sequences at
+//! runs — forced explicitly) for AND and iteration, at the chunk-boundary
+//! values 0, 65535, 65536. The property half throws randomized shapes at
 //! the same oracle; failing seeds persist via the vendored proptest's
 //! `.proptest-regressions` mechanism.
 
-use also::adapt::{ContainerKind, ARRAY_DEMOTE, ARRAY_MAX};
+use also::adapt::{ContainerKind, ARRAY_MAX};
 use also::containers::TidSet;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -29,16 +28,8 @@ fn assert_matches(set: &TidSet, oracle: &BTreeSet<u32>, what: &str) {
         oracle.iter().copied().collect::<Vec<_>>(),
         "{what}: iteration order/content"
     );
-    for &b in BOUNDARIES {
-        assert_eq!(set.contains(b), oracle.contains(&b), "{what}: contains({b})");
-        assert_eq!(
-            set.rank(b),
-            oracle.range(..=b).count() as u64,
-            "{what}: rank({b})"
-        );
-    }
-    // Container invariants: arrays never exceed ARRAY_MAX; bitmaps never
-    // drop below the demote threshold (the hysteresis floor).
+    // Container invariants: arrays never exceed ARRAY_MAX; bitmaps always
+    // do.
     for (key, kind, card) in set.chunk_kinds() {
         match kind {
             ContainerKind::Array => assert!(
@@ -46,8 +37,8 @@ fn assert_matches(set: &TidSet, oracle: &BTreeSet<u32>, what: &str) {
                 "{what}: array chunk {key} holds {card} > ARRAY_MAX"
             ),
             ContainerKind::Bitmap => assert!(
-                card as usize >= ARRAY_DEMOTE,
-                "{what}: bitmap chunk {key} holds {card} < ARRAY_DEMOTE"
+                card as usize > ARRAY_MAX,
+                "{what}: bitmap chunk {key} holds {card} <= ARRAY_MAX"
             ),
             ContainerKind::Runs => assert!(card > 0, "{what}: empty runs chunk {key}"),
         }
@@ -92,7 +83,7 @@ const KINDS: [ContainerKind; 3] =
     [ContainerKind::Array, ContainerKind::Bitmap, ContainerKind::Runs];
 
 #[test]
-fn all_nine_pairs_and_or_andnot_match_oracle() {
+fn all_nine_pairs_and_match_oracle() {
     for (ai, &ka) in KINDS.iter().enumerate() {
         for (bi, &kb) in KINDS.iter().enumerate() {
             // Same chunk (so the pair actually meets) on chunk 0 and on
@@ -103,32 +94,29 @@ fn all_nine_pairs_and_or_andnot_match_oracle() {
                 let label = format!("{ka:?}∧{kb:?} chunk {chunk}");
                 let and_o: BTreeSet<u32> = oa.intersection(&ob).copied().collect();
                 assert_matches(&a.and(&b), &and_o, &label);
-                assert_eq!(a.and_count(&b), and_o.len() as u64, "{label}: and_count");
-                let or_o: BTreeSet<u32> = oa.union(&ob).copied().collect();
-                assert_matches(&a.or(&b), &or_o, &format!("{ka:?}∨{kb:?} chunk {chunk}"));
-                let not_o: BTreeSet<u32> = oa.difference(&ob).copied().collect();
-                assert_matches(
-                    &a.andnot(&b),
-                    &not_o,
-                    &format!("{ka:?}∖{kb:?} chunk {chunk}"),
-                );
             }
         }
     }
 }
 
 #[test]
-fn cross_chunk_pairs_and_disjoint_chunks() {
-    // a spans chunks 0+1, b spans chunks 1+2: ops must align per key and
-    // drop the unmatched chunks for AND, keep them for OR/ANDNOT.
-    let (a0, oa0) = forced(ContainerKind::Array, 0, 3);
-    let (a1, oa1) = forced(ContainerKind::Bitmap, 1, 4);
-    let (b1, ob1) = forced(ContainerKind::Runs, 1, 9);
-    let (b2, ob2) = forced(ContainerKind::Array, 2, 2);
-    let a = a0.or(&a1);
+fn cross_chunk_and_aligns_keys() {
+    // a spans chunks 0+1, b spans chunks 1+2: AND must align per key and
+    // drop the unmatched chunks.
+    let (_, oa0) = forced(ContainerKind::Array, 0, 3);
+    let (_, oa1) = forced(ContainerKind::Bitmap, 1, 4);
+    let (_, ob1) = forced(ContainerKind::Runs, 1, 9);
+    let (_, ob2) = forced(ContainerKind::Array, 2, 2);
     let oa: BTreeSet<u32> = oa0.union(&oa1).copied().collect();
-    let b = b1.or(&b2);
     let ob: BTreeSet<u32> = ob1.union(&ob2).copied().collect();
+    let a = from_oracle(&oa);
+    let mut b = from_oracle(&ob);
+    b.optimize();
+    let layout = |s: &TidSet| -> Vec<(u16, ContainerKind)> {
+        s.chunk_kinds().into_iter().map(|(k, kind, _)| (k, kind)).collect()
+    };
+    assert_eq!(layout(&a), [(0, ContainerKind::Array), (1, ContainerKind::Bitmap)]);
+    assert_eq!(layout(&b), [(1, ContainerKind::Runs), (2, ContainerKind::Array)]);
     assert_matches(&a, &oa, "composed a");
     assert_matches(&b, &ob, "composed b");
     assert_matches(
@@ -136,78 +124,6 @@ fn cross_chunk_pairs_and_disjoint_chunks() {
         &oa.intersection(&ob).copied().collect(),
         "cross-chunk and",
     );
-    assert_matches(&a.or(&b), &oa.union(&ob).copied().collect(), "cross-chunk or");
-    assert_matches(
-        &a.andnot(&b),
-        &oa.difference(&ob).copied().collect(),
-        "cross-chunk andnot",
-    );
-}
-
-#[test]
-fn multi_and_all_kind_triples_match_oracle() {
-    for &ka in &KINDS {
-        for &kb in &KINDS {
-            for &kc in &KINDS {
-                let (a, oa) = forced(ka, 0, 1);
-                let (b, ob) = forced(kb, 0, 2);
-                let (c, oc) = forced(kc, 0, 3);
-                let expect: BTreeSet<u32> = oa
-                    .intersection(&ob)
-                    .copied()
-                    .collect::<BTreeSet<u32>>()
-                    .intersection(&oc)
-                    .copied()
-                    .collect();
-                let got = TidSet::multi_and(&[&a, &b, &c]);
-                assert_matches(&got, &expect, &format!("multi_and {ka:?},{kb:?},{kc:?}"));
-                assert_eq!(
-                    TidSet::multi_and_count(&[&a, &b, &c]),
-                    expect.len() as u64,
-                    "multi_and_count {ka:?},{kb:?},{kc:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn hysteresis_promotion_demotion_tracks_oracle() {
-    let mut set = TidSet::new();
-    let mut oracle = BTreeSet::new();
-    // Grow through the promote threshold…
-    for t in 0..=(ARRAY_MAX as u32 + 200) {
-        assert_eq!(set.insert(t), oracle.insert(t));
-    }
-    assert_eq!(set.chunk_kinds()[0].1, ContainerKind::Bitmap);
-    assert_matches(&set, &oracle, "after promotion");
-    // …shrink into the hysteresis band (still bitmap)…
-    for t in (ARRAY_DEMOTE as u32..=(ARRAY_MAX as u32 + 200)).rev() {
-        assert_eq!(set.remove(t), oracle.remove(&t));
-    }
-    assert_eq!(set.chunk_kinds()[0].1, ContainerKind::Bitmap);
-    assert_matches(&set, &oracle, "inside hysteresis band");
-    // …and through the demote threshold (array again).
-    assert_eq!(set.remove(ARRAY_DEMOTE as u32 - 1), oracle.remove(&(ARRAY_DEMOTE as u32 - 1)));
-    assert_eq!(set.chunk_kinds()[0].1, ContainerKind::Array);
-    assert_matches(&set, &oracle, "after demotion");
-    // Oscillate right at the threshold: no thrash, stays correct.
-    for round in 0..6u32 {
-        for t in 0..600u32 {
-            let v = ARRAY_MAX as u32 + t;
-            if round % 2 == 0 {
-                assert_eq!(set.insert(v), oracle.insert(v));
-            } else {
-                assert_eq!(set.remove(v), oracle.remove(&v));
-            }
-        }
-        assert_matches(&set, &oracle, &format!("oscillation round {round}"));
-    }
-    // Mutation on a run container materializes and stays exact.
-    set.optimize();
-    assert_eq!(set.insert(1_000_000), oracle.insert(1_000_000));
-    assert_eq!(set.remove(0), oracle.remove(&0));
-    assert_matches(&set, &oracle, "mutated after optimize");
 }
 
 #[test]
@@ -215,17 +131,13 @@ fn empty_and_boundary_singletons() {
     let empty = TidSet::new();
     assert!(empty.is_empty());
     assert!(empty.and(&empty).is_empty());
-    assert!(empty.or(&empty).is_empty());
-    assert!(empty.andnot(&empty).is_empty());
-    assert!(TidSet::multi_and(&[]).is_empty());
     for &b in BOUNDARIES {
         let s = TidSet::from_sorted(&[b]);
         let oracle: BTreeSet<u32> = [b].into_iter().collect();
         assert_matches(&s, &oracle, &format!("singleton {b}"));
         assert!(s.and(&empty).is_empty());
-        assert_eq!(s.or(&empty).to_vec(), vec![b]);
-        assert_eq!(s.andnot(&empty).to_vec(), vec![b]);
-        assert!(empty.andnot(&s).is_empty());
+        assert!(empty.and(&s).is_empty());
+        assert_eq!(s.and(&s).to_vec(), vec![b]);
     }
 }
 
@@ -255,7 +167,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn random_pairwise_ops_match_oracle(oa in arb_tids(), ob in arb_tids(), opt in 0u32..4) {
+    fn random_pairwise_and_matches_oracle(oa in arb_tids(), ob in arb_tids(), opt in 0u32..4) {
         let mut a = from_oracle(&oa);
         let mut b = from_oracle(&ob);
         // Randomly re-shape either side so run containers join the mix.
@@ -263,49 +175,5 @@ proptest! {
         if opt & 2 != 0 { b.optimize(); }
         let and_o: BTreeSet<u32> = oa.intersection(&ob).copied().collect();
         assert_matches(&a.and(&b), &and_o, "random and");
-        prop_assert_eq!(a.and_count(&b), and_o.len() as u64);
-        assert_matches(&a.or(&b), &oa.union(&ob).copied().collect(), "random or");
-        assert_matches(&a.andnot(&b), &oa.difference(&ob).copied().collect(), "random andnot");
-        assert_matches(&b.andnot(&a), &ob.difference(&oa).copied().collect(), "random andnot rev");
-    }
-
-    #[test]
-    fn random_multi_and_matches_pairwise(
-        oa in arb_tids(), ob in arb_tids(), oc in arb_tids(), opt in 0u32..8
-    ) {
-        let mut sets = [from_oracle(&oa), from_oracle(&ob), from_oracle(&oc)];
-        for (i, s) in sets.iter_mut().enumerate() {
-            if opt & (1 << i) != 0 { s.optimize(); }
-        }
-        let expect: BTreeSet<u32> = oa
-            .intersection(&ob).copied().collect::<BTreeSet<u32>>()
-            .intersection(&oc).copied().collect();
-        let refs: Vec<&TidSet> = sets.iter().collect();
-        assert_matches(&TidSet::multi_and(&refs), &expect, "random multi_and");
-        prop_assert_eq!(TidSet::multi_and_count(&refs), expect.len() as u64);
-    }
-
-    #[test]
-    fn random_insert_remove_sequences_track_oracle(
-        ops in prop::collection::vec((0u32..70_000, any::<bool>()), 0..300)
-    ) {
-        let mut set = TidSet::new();
-        let mut oracle = BTreeSet::new();
-        for (tid, is_insert) in ops {
-            if is_insert {
-                prop_assert_eq!(set.insert(tid), oracle.insert(tid), "insert {}", tid);
-            } else {
-                prop_assert_eq!(set.remove(tid), oracle.remove(&tid), "remove {}", tid);
-            }
-        }
-        assert_matches(&set, &oracle, "after op sequence");
-    }
-
-    #[test]
-    fn rank_agrees_at_random_probes(oa in arb_tids(), probes in prop::collection::vec(0u32..200_001, 0..40)) {
-        let set = from_oracle(&oa);
-        for p in probes {
-            prop_assert_eq!(set.rank(p), oa.range(..=p).count() as u64, "rank({})", p);
-        }
     }
 }

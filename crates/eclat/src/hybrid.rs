@@ -18,11 +18,8 @@
 //! pairs.
 //!
 //! The intersections themselves dispatch per chunk pair (galloping
-//! array∩array, word-wise SIMD bitmap∩bitmap, probe, run merges — see
-//! [`also::containers`]); ad-hoc k-way supports go through
-//! [`VerticalHybridDb::support_of`], the one-pass
-//! [`TidSet::multi_and_count_with`] fold that needs no chained pairwise
-//! temporaries.
+//! array∩array, word-wise bitmap∩bitmap, probe, run walks — see
+//! [`also::containers`]).
 
 use crate::tidlist::SparseStats;
 use also::containers::TidSet;

@@ -172,13 +172,17 @@ impl PatternQuery {
             let position = sorted.positions();
             let rules = self.rules.filter(|_| n_transactions > 0);
             let n = n_transactions as f64;
+            // Closed and maximal read the extension bits every subset
+            // sets; the All class reads only the rule bit, so it leaves a
+            // pattern as soon as one of its rules passes.
+            let every_subset = self.class != MineKind::All;
             sorted.for_each_subset(&position, |y, x, drop| {
                 facts[x] |= EXTENDED;
                 if all[x].support == all[y].support {
                     facts[x] |= EXTENDED_EQUAL;
                 }
                 let Some(spec) = rules.filter(|_| facts[y] & BEARS_RULE == 0) else {
-                    return;
+                    return true;
                 };
                 if let Some(&c) = position.get(&sorted.get(y)[drop..=drop]) {
                     if spec
@@ -186,8 +190,10 @@ impl PatternQuery {
                         .is_some()
                     {
                         facts[y] |= BEARS_RULE;
+                        return every_subset;
                     }
                 }
+                true
             });
         }
         let refuted = match self.class {
@@ -262,11 +268,12 @@ impl Sorted {
     }
 
     /// Calls `visit(y, x, drop)` for every pattern `y` and every position
-    /// `drop` in its sorted itemset whose removal leaves a pattern `x`.
+    /// `drop` in its sorted itemset whose removal leaves a pattern `x`,
+    /// moving on to the next `y` once `visit` returns `false`.
     fn for_each_subset(
         &self,
         position: &HashMap<&[Item], usize>,
-        mut visit: impl FnMut(usize, usize, usize),
+        mut visit: impl FnMut(usize, usize, usize) -> bool,
     ) {
         let longest = self.ends.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         let mut subset = Vec::with_capacity(longest);
@@ -280,7 +287,9 @@ impl Sorted {
                 subset.extend_from_slice(&items[..drop]);
                 subset.extend_from_slice(&items[drop + 1..]);
                 if let Some(&x) = position.get(subset.as_slice()) {
-                    visit(y, x, drop);
+                    if !visit(y, x, drop) {
+                        break;
+                    }
                 }
             }
         }
@@ -316,7 +325,7 @@ pub fn rules(all: &[ItemsetCount], n_transactions: u64, spec: &RuleSpec) -> Vec<
     sorted.for_each_subset(&position, |y, x, drop| {
         let consequent = &sorted.get(y)[drop..=drop];
         let Some(&c) = position.get(consequent) else {
-            return;
+            return true;
         };
         let support = all[y].support;
         if let Some((confidence, lift)) = spec.measure(support, all[x].support, all[c].support, n) {
@@ -328,6 +337,7 @@ pub fn rules(all: &[ItemsetCount], n_transactions: u64, spec: &RuleSpec) -> Vec<
                 lift,
             });
         }
+        true
     });
     out
 }

@@ -11,7 +11,7 @@
 //!   ([`also::containers`], DESIGN.md §16).
 
 use also::bits::{BitVec, OneRange};
-use also::containers::{AndScratch, TidSet};
+use also::containers::TidSet;
 use crate::types::Item;
 
 /// A vertical bit-matrix database over rank ids.
@@ -135,16 +135,6 @@ impl VerticalHybridDb {
     pub fn bytes(&self) -> usize {
         self.columns.iter().map(TidSet::bytes).sum()
     }
-
-    /// One-pass k-way support of an arbitrary itemset: intersects all the
-    /// items' columns chunk-by-chunk through preallocated `scratch`
-    /// (never materializing an intermediate set) — the
-    /// [`TidSet::multi_and_count_with`] path deep recursions and ad-hoc
-    /// queries use instead of chained pairwise temporaries.
-    pub fn support_of(&self, items: &[u32], scratch: &mut AndScratch) -> u64 {
-        let cols: Vec<&TidSet> = items.iter().map(|&i| self.column(i)).collect();
-        TidSet::multi_and_count_with(&cols, scratch)
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +233,7 @@ mod tests {
             let h = VerticalHybridDb::from_ranked(&striped(n), 2);
             assert_eq!(h.support(0), n as u64, "hybrid universe {n}");
             assert_eq!(
-                h.column(0).and_count(h.column(1)),
+                h.column(0).and(h.column(1)).cardinality(),
                 n as u64 / 2,
                 "hybrid AND at word boundary {n}"
             );
@@ -262,8 +252,6 @@ mod tests {
             let and = h.column(0).and(h.column(1));
             assert_eq!(and.cardinality(), n as u64 / 2);
             assert_eq!(and.to_vec(), h.column(1).to_vec());
-            let mut scratch = AndScratch::new();
-            assert_eq!(h.support_of(&[0, 1], &mut scratch), n as u64 / 2);
             // The dense matrix agrees.
             let v = VerticalBitDb::from_ranked(&striped(n), 2);
             assert_eq!(v.support(0), h.support(0));
@@ -280,15 +268,13 @@ mod tests {
             .map(|t| if t < 65_536 { vec![0] } else { vec![1] })
             .collect();
         let h = VerticalHybridDb::from_ranked(&rows, 2);
-        assert_eq!(h.column(0).and_count(h.column(1)), 0);
+        assert_eq!(h.column(0).and(h.column(1)).cardinality(), 0);
         assert!(h.column(0).and(h.column(1)).is_empty());
-        let mut scratch = AndScratch::new();
-        assert_eq!(h.support_of(&[0, 1], &mut scratch), 0);
 
         let interleaved: Vec<Vec<u32>> =
             (0..n).map(|t| if t % 2 == 0 { vec![0] } else { vec![1] }).collect();
         let h2 = VerticalHybridDb::from_ranked(&interleaved, 2);
-        assert_eq!(h2.column(0).and_count(h2.column(1)), 0);
+        assert_eq!(h2.column(0).and(h2.column(1)).cardinality(), 0);
         assert!(h2.column(0).and(h2.column(1)).is_empty());
     }
 
