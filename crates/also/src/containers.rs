@@ -153,16 +153,16 @@ impl Container {
 
     /// Builds from sorted unique values, choosing array vs bitmap by
     /// cardinality (runs are only chosen by [`Container::optimize`]).
-    fn from_sorted(vals: &[u16]) -> Container {
+    fn from_sorted(vals: Vec<u16>) -> Container {
         debug_assert!(vals.windows(2).all(|w| w[0] < w[1]), "values must be sorted unique");
         if vals.len() > ARRAY_MAX {
             let mut words = new_bitmap();
-            for &v in vals {
+            for &v in &vals {
                 words[v as usize / 64] |= 1u64 << (v % 64);
             }
             Container::Bitmap(words, vals.len() as u32)
         } else {
-            Container::Array(vals.to_vec())
+            Container::Array(vals)
         }
     }
 
@@ -504,7 +504,7 @@ fn normalize_sorted(vals: &[u16]) -> Option<Container> {
     if vals.is_empty() {
         None
     } else {
-        Some(Container::from_sorted(vals))
+        Some(Container::from_sorted(vals.to_vec()))
     }
 }
 
@@ -618,7 +618,7 @@ impl TidSet {
             }
             let lows: Vec<u16> = tids[i..j].iter().map(|&t| t as u16).collect();
             set.keys.push(key);
-            set.chunks.push(Container::from_sorted(&lows));
+            set.chunks.push(Container::from_sorted(lows));
             i = j;
         }
         set

@@ -6,8 +6,10 @@
 //! fused intersect-and-count — plain, 0-escaped, materializing and
 //! galloping — performs zero allocations, and so does the horizontal
 //! pass that counts a root item's pairs into a caller-owned counter
-//! array.
+//! array. Building a hybrid set allocates each array chunk's values
+//! once: `TidSet::from_sorted` hands them to the container.
 
+use also::adapt::ContainerKind;
 use also::bits::BitVec;
 use also::containers::{
     array_and_gallop_into, array_and_into, array_bitmap_and_into, bitmap_and_into, TidSet,
@@ -15,7 +17,7 @@ use also::containers::{
 };
 use also::simd::{and_count, and_count_escaped, and_count_words, and_into_count, Popcount};
 use fpm_eclat::count_root_pairs;
-use fpm::alloc_guard::assert_no_alloc;
+use fpm::alloc_guard::{assert_no_alloc, count_allocs, guard_active};
 use memsim::NullProbe;
 
 fn dense(len: usize, step: usize, phase: usize) -> BitVec {
@@ -176,5 +178,19 @@ fn root_pair_count_is_allocation_free() {
             .filter(|r| r.contains(&1) && r.contains(&j))
             .count();
         assert_eq!(counts[j as usize] as usize, naive, "pair {{1, {j}}}");
+    }
+}
+
+#[test]
+fn from_sorted_allocates_each_array_chunk_once() {
+    // One array chunk: the key vector (8 bytes), the chunk vector (128)
+    // and the 3 000 low halves (6 000), which the container keeps rather
+    // than copies.
+    let tids: Vec<u32> = (0..3_000u32).map(|t| t * 7).collect();
+    let (set, count) = count_allocs(|| TidSet::from_sorted(&tids));
+    assert_eq!(set.to_vec(), tids);
+    assert_eq!(set.chunk_kinds(), [(0, ContainerKind::Array, 3_000)]);
+    if guard_active() {
+        assert_eq!((count.allocations, count.bytes), (3, 6_136));
     }
 }

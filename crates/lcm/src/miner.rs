@@ -13,7 +13,9 @@
 //!   configurable wave-front distance ahead;
 //! * **P6.1** — the per-candidate column walks are restructured into an
 //!   outer loop over transaction-range tiles and an inner loop over
-//!   candidates, giving header/arena reuse within a tile;
+//!   candidates, giving header/arena reuse within a tile; the candidates
+//!   count into one reused block of dense rows, read back by an ascending
+//!   scan;
 //! * **P3** — the duplicate-removal bucket lists aggregate into
 //!   supernodes (see [`crate::rmdup`]).
 
@@ -170,6 +172,12 @@ pub(crate) struct Miner<'a, P, S> {
     fmark: Vec<u32>,
     fmark_epoch: u32,
     touched: Vec<u32>,
+    /// P6.1's dense count rows, one `n_ranks` row per tiled candidate,
+    /// flat: grown on demand by [`Self::calc_freq_tiled`] and all zero
+    /// between its calls, so every node of the recursion reuses it.
+    tile_counts: Vec<u32>,
+    /// One occurrence cursor per tiled candidate.
+    tile_cursors: Vec<usize>,
 }
 
 /// A candidate extension with its (weighted) support.
@@ -201,6 +209,8 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
             // rank exactly once per epoch, so this never regrows — a
             // precondition of that loop's `// also-lint: hot` contract.
             touched: Vec::with_capacity(n_ranks),
+            tile_counts: Vec::new(),
+            tile_cursors: Vec::new(),
         }
     }
 
@@ -216,7 +226,7 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
         // loop nest, so small (deep) nodes fall back to the per-child
         // walk — in the paper, too, tiling restructures the large
         // top-level scans.
-        let precomputed: Option<Vec<Children>> = match self.resolved_tile_rows(pdb) {
+        let mut precomputed: Option<Vec<Children>> = match self.resolved_tile_rows(pdb) {
             Some(t) if pdb.heads.len() > t => Some(self.calc_freq_tiled(pdb, children, t)),
             _ => None,
         };
@@ -231,8 +241,8 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
             self.prefix.push(j);
             self.sink.emit(&self.prefix, sup);
             self.stats.emitted += 1;
-            let grand = match &precomputed {
-                Some(rows) => rows[ci].clone(),
+            let grand = match &mut precomputed {
+                Some(rows) => std::mem::take(&mut rows[ci]),
                 None => self.calc_freq(pdb, j),
             };
             if !grand.is_empty() {
@@ -246,8 +256,8 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
     /// The occurrence-deliver loop of `calc_freq` — the paper's hottest
     /// code: walk `occ[j]`, follow each entry to its transaction header
     /// (dependent load), and count every suffix item with the
-    /// transaction's weight. Leaves the first-touched items, sorted
-    /// ascending, in `self.touched`.
+    /// transaction's weight. Leaves the first-touched items, in
+    /// first-touch order, in `self.touched`.
     ///
     /// Runs once per (node, child) pair over millions of occurrence
     /// entries, so it must not allocate: counters and marks are
@@ -291,31 +301,27 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
                 }
             }
         }
-        self.touched.sort_unstable();
     }
 
     /// `calc_freq`: occurrence-deliver over column `j`
-    /// ([`Self::deliver_column`]), then materialize the frequent children,
-    /// ascending.
+    /// ([`Self::deliver_column`]), then materialize the frequent children
+    /// and sort only those, ascending.
     fn calc_freq(&mut self, pdb: &ProjDb, j: u32) -> Children {
         self.deliver_column(pdb, j);
         let minsup = self.minsup;
         let counters = &self.counters;
-        self.touched
+        let mut grand: Children = self
+            .touched
             .iter()
             .filter_map(|&it| {
                 let c = counters.get(it) as u64;
                 (c >= minsup).then_some((it, c))
             })
-            .collect()
+            .collect();
+        grand.sort_unstable();
+        grand
     }
 
-    /// P6.1 — the tiled `calc_freq`: outer loop over transaction-range
-    /// tiles, inner loop over the candidate columns, each advancing a
-    /// cursor through its occurrences. Within a tile, headers and arena
-    /// lines are reused across *all* candidates before being evicted.
-    /// Costs: per-candidate dense count rows (memory) and the extra loop
-    /// nest — "the overhead for the added level of loop nesting" (§3.4).
     /// Resolves the configured tile size against this node's projection
     /// (`Some(0)` = auto-size to L1).
     fn resolved_tile_rows(&self, pdb: &ProjDb) -> Option<usize> {
@@ -331,23 +337,67 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
         }
     }
 
+    /// P6.1 — the tiled `calc_freq`: outer loop over transaction-range
+    /// tiles, inner loop over the candidate columns, each advancing a
+    /// cursor through its occurrences ([`Self::count_tiles`]). Within a
+    /// tile, headers and arena lines are reused across *all* candidates
+    /// before being evicted. Costs: per-candidate dense count rows, one
+    /// block the miner reuses at every node, and the extra loop nest —
+    /// "the overhead for the added level of loop nesting" (§3.4).
+    ///
+    /// Every suffix item of candidate `j` ranks above `j`, so one
+    /// ascending scan of ranks `j+1..n_ranks`, O(n_ranks − j), reads each
+    /// candidate's children off its row already in order and re-zeroes
+    /// the row, leaving the block all zero when this returns.
     fn calc_freq_tiled(
         &mut self,
         pdb: &ProjDb,
         children: &[(u32, u64)],
         tile_rows: usize,
     ) -> Vec<Children> {
-        let n_cands = children.len();
-        let mut rows: Vec<Vec<u32>> = vec![vec![0u32; self.n_ranks]; n_cands];
-        let mut touched: Vec<Vec<u32>> = vec![Vec::new(); n_cands];
-        let mut cursors = vec![0usize; n_cands];
+        let n_ranks = self.n_ranks;
+        let block = children.len() * n_ranks;
+        if self.tile_counts.len() < block {
+            self.tile_counts.resize(block, 0);
+        }
+        self.tile_cursors.resize(children.len(), 0);
+        self.count_tiles(pdb, children, tile_rows);
+        let minsup = self.minsup;
+        children
+            .iter()
+            .enumerate()
+            .map(|(ci, &(j, _))| {
+                let row = &mut self.tile_counts[ci * n_ranks..(ci + 1) * n_ranks];
+                let mut grand = Children::new();
+                for (it, c) in row.iter_mut().enumerate().skip(j as usize + 1) {
+                    if *c as u64 >= minsup {
+                        grand.push((it as u32, *c as u64));
+                    }
+                    *c = 0;
+                }
+                grand
+            })
+            .collect()
+    }
+
+    /// The counting loop of [`Self::calc_freq_tiled`]: adds every suffix
+    /// item's weight into its candidate's row of `tile_counts`, tile by
+    /// tile.
+    ///
+    /// Runs once per tiled node over every occurrence of its candidates,
+    /// so it must not allocate: the caller grows the count block and the
+    /// cursors beforehand (proven at runtime by
+    /// `tiled_count_loop_is_allocation_free`).
+    // also-lint: hot
+    fn count_tiles(&mut self, pdb: &ProjDb, children: &[(u32, u64)], tile_rows: usize) {
+        let n_ranks = self.n_ranks;
+        self.tile_cursors[..children.len()].fill(0);
         for tile in also::tiling::tiles(pdb.heads.len(), tile_rows) {
             let end = tile.end as u32;
             for (ci, &(j, _)) in children.iter().enumerate() {
                 let col = pdb.occ(j);
-                let row = &mut rows[ci];
-                let touch = &mut touched[ci];
-                let cur = &mut cursors[ci];
+                let row = &mut self.tile_counts[ci * n_ranks..(ci + 1) * n_ranks];
+                let cur = &mut self.tile_cursors[ci];
                 while *cur < col.len() && col[*cur].tid < end {
                     let e = col[*cur];
                     *cur += 1;
@@ -355,10 +405,7 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
                     let h = &pdb.heads[e.tid as usize];
                     self.probe.read_dep(memsim::addr_of(h), 12);
                     let w = h.weight;
-                    let suffix = {
-                        let end_off = h.end() as usize;
-                        &pdb.items[e.pos as usize + 1..end_off]
-                    };
+                    let suffix = pdb.suffix_raw(e, h);
                     let (sa, sl) = memsim::slice_span(suffix);
                     self.probe.read(sa, sl);
                     self.probe.instr(11);
@@ -367,27 +414,11 @@ impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
                     for &it in suffix {
                         self.probe.instr(4);
                         self.probe.write(memsim::addr_of(&row[it as usize]), 4);
-                        if row[it as usize] == 0 {
-                            touch.push(it);
-                        }
                         row[it as usize] += w;
                     }
                 }
             }
         }
-        rows.into_iter()
-            .zip(touched)
-            .map(|(row, mut touch)| {
-                touch.sort_unstable();
-                touch
-                    .into_iter()
-                    .filter_map(|it| {
-                        let c = row[it as usize] as u64;
-                        (c >= self.minsup).then_some((it, c))
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     /// Builds the projection of `pdb` onto candidate `j`: every
@@ -449,6 +480,17 @@ mod tests {
     use fpm::CountSink;
     use memsim::NullProbe;
 
+    /// 64 rows over 6 ranks, every column non-trivial.
+    fn six_rank_rows() -> Vec<Vec<u32>> {
+        (0..64u32)
+            .map(|t| {
+                (0..6)
+                    .filter(|r| (t >> (r % 6)) & 1 == 0 || t % (r + 2) == 0)
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Runtime half of deliver_column's `// also-lint: hot` contract:
     /// after Miner::new's preallocation, the occurrence-deliver loop (the
     /// paper's 54%-of-profile `calc_freq` walk) performs zero allocations
@@ -456,9 +498,7 @@ mod tests {
     /// P7.1 prefetch variant alike.
     #[test]
     fn occurrence_deliver_loop_is_allocation_free() {
-        let transactions: Vec<Vec<u32>> = (0..64u32)
-            .map(|t| (0..6).filter(|r| (t >> (r % 6)) & 1 == 0 || t % (r + 2) == 0).collect())
-            .collect();
+        let transactions = six_rank_rows();
         for cfg in [
             LcmConfig::baseline(),
             LcmConfig {
@@ -482,5 +522,47 @@ mod tests {
             });
             assert!(miner.stats.occ_entries > 0);
         }
+    }
+
+    /// Runtime half of count_tiles' `// also-lint: hot` contract: once a
+    /// first calc_freq_tiled call has grown the count block and the
+    /// cursors, the tiled counting loop performs zero allocations; and
+    /// every calc_freq_tiled return, at the root or deep in a recursion
+    /// that reuses the block, leaves it all zero.
+    #[test]
+    fn tiled_count_loop_is_allocation_free() {
+        let transactions = six_rank_rows();
+        let cfg = LcmConfig {
+            tile_rows: Some(1),
+            ..LcmConfig::all()
+        };
+        let mut probe = NullProbe;
+        let mut sink = CountSink::default();
+        let control = MineControl::unlimited();
+        let mut miner = Miner::new(cfg, 1, 6, &mut probe, &control, &mut sink);
+        let mut root = ProjDb::from_ranked(&transactions);
+        root.build_occ(6, miner.probe);
+        let children: Vec<(u32, u64)> = (0..6).map(|r| (r, root.support(r))).collect();
+        let expect: Vec<Children> = children
+            .iter()
+            .map(|&(j, _)| miner.calc_freq(&root, j))
+            .collect();
+        // Rows must be non-trivial or the test proves nothing.
+        assert!(expect[0].len() > 2);
+        for t in [1, 7, 64] {
+            let got = miner.calc_freq_tiled(&root, &children, t);
+            assert_eq!(got, expect, "tile={t}");
+            assert!(miner.tile_counts.iter().all(|&c| c == 0), "tile={t}");
+            fpm::alloc_guard::assert_no_alloc(|| miner.count_tiles(&root, &children, t));
+            for (row, grand) in miner.tile_counts.chunks(6).zip(&expect) {
+                for &(it, c) in grand {
+                    assert_eq!(row[it as usize] as u64, c, "tile={t}");
+                }
+            }
+            miner.tile_counts.fill(0);
+        }
+        miner.node(&root, &children);
+        assert!(miner.stats.nodes > 1);
+        assert!(miner.tile_counts.iter().all(|&c| c == 0));
     }
 }

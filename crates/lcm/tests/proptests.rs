@@ -13,23 +13,41 @@ fn run(db: &TransactionDb, minsup: u64, cfg: &lcm::LcmConfig) -> Vec<fpm::Itemse
     canonicalize(s.patterns)
 }
 
+/// Rows with a duplicated run, so `rm_dup_trans` leaves weights above 1.
 fn arb_db() -> impl Strategy<Value = TransactionDb> {
-    prop::collection::vec(
-        prop::collection::btree_set(0u32..20, 0..10)
-            .prop_map(|s| s.into_iter().collect::<Vec<u32>>()),
-        0..60,
+    (
+        prop::collection::vec(
+            prop::collection::btree_set(0u32..20, 0..10)
+                .prop_map(|s| s.into_iter().collect::<Vec<u32>>()),
+            0..60,
+        ),
+        0usize..20,
     )
-    .prop_map(TransactionDb::from_transactions)
+        .prop_map(|(mut rows, dup)| {
+            let dup = dup.min(rows.len());
+            rows.extend_from_within(..dup);
+            TransactionDb::from_transactions(rows)
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn variants_agree(db in arb_db(), minsup in 1u64..8) {
+    fn variants_agree(db in arb_db(), minsup in 1u64..8, tile in any::<usize>()) {
         let expect = run(&db, minsup, &lcm::LcmConfig::baseline());
         for (name, cfg) in lcm::variants() {
             prop_assert_eq!(run(&db, minsup, &cfg), expect.clone(), "{}", name);
+        }
+        // An auto tile holds more rows than `arb_db` draws, so only
+        // explicit tiles run the tiled walk here, reusing its count block
+        // across siblings and depths.
+        for t in [1, 2, 1 + tile % (db.len() + 1)] {
+            let cfg = lcm::LcmConfig {
+                tile_rows: Some(t),
+                ..lcm::LcmConfig::all()
+            };
+            prop_assert_eq!(run(&db, minsup, &cfg), expect.clone(), "tile={}", t);
         }
     }
 
