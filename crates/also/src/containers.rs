@@ -497,15 +497,13 @@ pub fn runs_and(a: &[Run], b: &[Run], out: &mut Vec<Run>) {
 // Pairwise chunk AND — all nine type pairs.
 // ---------------------------------------------------------------------------
 
-/// Normalizes computed sorted values into the deterministic result shape:
-/// array iff the cardinality fits, bitmap otherwise. (Runs are chosen
-/// only by `optimize` or by the run∩run walk.)
-fn normalize_sorted(vals: &[u16]) -> Option<Container> {
-    if vals.is_empty() {
-        None
-    } else {
-        Some(Container::from_sorted(vals.to_vec()))
-    }
+/// An AND with an array operand: `and_into` writes at most the array's
+/// [`ARRAY_MAX`] values into a stack buffer, and the result array is
+/// allocated once, at its exact size.
+fn array_result(and_into: impl FnOnce(&mut [u16]) -> usize) -> Option<Container> {
+    let mut out = [0u16; ARRAY_MAX];
+    let n = and_into(&mut out);
+    (n > 0).then(|| Container::Array(out[..n].to_vec()))
 }
 
 fn normalize_bitmap(words: Box<[u64; BITMAP_WORDS]>, card: u32) -> Option<Container> {
@@ -548,23 +546,12 @@ impl Container {
     pub fn and(&self, other: &Container) -> Option<Container> {
         use Container::*;
         match (self, other) {
-            (Array(a), Array(b)) => {
-                let mut out = vec![0u16; a.len().min(b.len())];
-                let n = array_and_into(a, b, &mut out);
-                out.truncate(n);
-                normalize_sorted(&out)
-            }
+            (Array(a), Array(b)) => array_result(|out| array_and_into(a, b, out)),
             (Array(a), Bitmap(w, _)) | (Bitmap(w, _), Array(a)) => {
-                let mut out = vec![0u16; a.len()];
-                let n = array_bitmap_and_into(a, w, &mut out);
-                out.truncate(n);
-                normalize_sorted(&out)
+                array_result(|out| array_bitmap_and_into(a, w, out))
             }
             (Array(a), Runs(rs)) | (Runs(rs), Array(a)) => {
-                let mut out = vec![0u16; a.len()];
-                let n = array_runs_and_into(a, rs, &mut out);
-                out.truncate(n);
-                normalize_sorted(&out)
+                array_result(|out| array_runs_and_into(a, rs, out))
             }
             (Bitmap(a, _), Bitmap(b, _)) => {
                 let mut out = new_bitmap();

@@ -177,21 +177,16 @@ fn tiling_crossover() -> (f64, f64) {
             seed: 777,
             ..quest::QuestParams::default()
         });
-        let base = crate::fig8::run_variant(
-            &exec::KernelConfig::Lcm(lcm::LcmConfig::baseline()),
+        let costs = crate::fig8::run_variants(
+            &[
+                exec::KernelConfig::Lcm(lcm::LcmConfig::baseline()),
+                exec::KernelConfig::Lcm(lcm::LcmConfig::tile()),
+            ],
             &db,
             minsup,
             Timing::Simulated(Machine::m1()),
-        )
-        .0;
-        let tiled = crate::fig8::run_variant(
-            &exec::KernelConfig::Lcm(lcm::LcmConfig::tile()),
-            &db,
-            minsup,
-            Timing::Simulated(Machine::m1()),
-        )
-        .0;
-        base / tiled
+        );
+        costs[0].0 / costs[1].0
     };
     // ~0.25 MB arena (fits M1's 1 MB L2) vs ~3.6 MB (exceeds it);
     // supports at a fixed 1.5% relative threshold.

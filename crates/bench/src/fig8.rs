@@ -14,13 +14,15 @@ use exec::KernelConfig;
 use fpm::{CountSink, TransactionDb};
 use memsim::{CacheProbe, Machine, MemReport};
 use quest::{Dataset, Scale};
+use std::time::Instant;
 
 /// How a variant is costed.
 #[derive(Debug, Clone, Copy)]
 pub enum Timing {
-    /// Wall-clock on the host, best of `runs`.
+    /// Wall-clock on the host, best of `runs` rounds (see
+    /// [`run_cluster`]).
     Native {
-        /// Timed repetitions (after one warm-up).
+        /// Timed rounds (after one warm-up round).
         runs: usize,
         /// Worker threads on the `fpm-par` runtime: `1` runs the plain
         /// serial kernel, `0` auto-detects, `n` pins the pool size. The
@@ -161,45 +163,67 @@ fn combo_label(parts: &[(&str, bool)]) -> String {
     }
 }
 
-/// Runs one variant under one costing; returns `(cost, patterns)`.
-pub fn run_variant(
-    cfg: &KernelConfig,
+/// Runs each variant under one costing; returns `(cost, patterns)` per
+/// variant, in order.
+///
+/// Native timing runs one warm-up round over every variant, then `runs`
+/// rounds that each time every variant once, and keeps each variant's
+/// best. Host drift between rounds then lands on every variant alike,
+/// not on whichever variants happened to run while the host was slow.
+pub fn run_variants(
+    cfgs: &[KernelConfig],
     db: &TransactionDb,
     minsup: u64,
     timing: Timing,
-) -> (f64, u64) {
+) -> Vec<(f64, u64)> {
     match timing {
         Timing::Native { runs, threads } => {
-            let mut patterns = 0u64;
-            let cost = crate::time_best_of(runs, || {
-                let mut sink = CountSink::default();
-                if threads == 1 {
-                    match cfg {
-                        KernelConfig::Lcm(c) => {
-                            lcm::mine(db, minsup, c, &mut sink);
-                        }
-                        KernelConfig::Eclat(c) => {
-                            eclat::mine(db, minsup, c, &mut sink);
-                        }
-                        KernelConfig::FpGrowth(c) => {
-                            fpgrowth::mine(db, minsup, c, &mut sink);
-                        }
-                    }
-                } else {
-                    exec::MinePlan::new(*cfg, minsup)
-                        .threads(threads)
-                        .execute(db, &mut sink);
+            let mut measured: Vec<(f64, u64)> = cfgs
+                .iter()
+                .map(|cfg| (f64::INFINITY, mine_native(cfg, db, minsup, threads)))
+                .collect();
+            for _ in 0..runs.max(1) {
+                for (cfg, (best, _)) in cfgs.iter().zip(&mut measured) {
+                    let t = Instant::now();
+                    let patterns = mine_native(cfg, db, minsup, threads);
+                    *best = best.min(t.elapsed().as_secs_f64());
+                    std::hint::black_box(patterns);
                 }
-                patterns = sink.count;
-                patterns
-            });
-            (cost, patterns)
+            }
+            measured
         }
-        Timing::Simulated(machine) => {
-            let (report, patterns) = simulate(cfg, db, minsup, machine);
-            (report.cycles, patterns)
-        }
+        Timing::Simulated(machine) => cfgs
+            .iter()
+            .map(|cfg| {
+                let (report, patterns) = simulate(cfg, db, minsup, machine);
+                (report.cycles, patterns)
+            })
+            .collect(),
     }
+}
+
+/// Mines one variant natively on `threads` workers (`1`: the plain
+/// serial kernel); returns the pattern count.
+fn mine_native(cfg: &KernelConfig, db: &TransactionDb, minsup: u64, threads: usize) -> u64 {
+    let mut sink = CountSink::default();
+    if threads == 1 {
+        match cfg {
+            KernelConfig::Lcm(c) => {
+                lcm::mine(db, minsup, c, &mut sink);
+            }
+            KernelConfig::Eclat(c) => {
+                eclat::mine(db, minsup, c, &mut sink);
+            }
+            KernelConfig::FpGrowth(c) => {
+                fpgrowth::mine(db, minsup, c, &mut sink);
+            }
+        }
+    } else {
+        exec::MinePlan::new(*cfg, minsup)
+            .threads(threads)
+            .execute(db, &mut sink);
+    }
+    sink.count
 }
 
 /// Mines one variant under the cache simulator; returns its report and
@@ -249,16 +273,15 @@ pub fn run_cluster(
 ) -> Cluster {
     let db = quest::generate_cached(dataset, scale);
     let minsup = dataset.support(scale);
-    let variants = variant_set(kernel, exhaustive);
-    let mut measured: Vec<Measurement> = variants
-        .iter()
-        .map(|(label, cfg)| {
-            let (cost, patterns) = run_variant(cfg, &db, minsup, timing);
-            Measurement {
-                label: label.clone(),
-                cost,
-                patterns,
-            }
+    let (labels, cfgs): (Vec<String>, Vec<KernelConfig>) =
+        variant_set(kernel, exhaustive).into_iter().unzip();
+    let mut measured: Vec<Measurement> = labels
+        .into_iter()
+        .zip(run_variants(&cfgs, &db, minsup, timing))
+        .map(|(label, (cost, patterns))| Measurement {
+            label,
+            cost,
+            patterns,
         })
         .collect();
     // all variants must agree on the mined pattern count

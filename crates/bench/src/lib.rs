@@ -13,21 +13,3 @@ pub mod claims;
 pub mod fig2;
 pub mod fig8;
 pub mod tables;
-
-use std::time::Instant;
-
-/// Times `f` by the best of `runs` executions (after one warm-up), in
-/// seconds. Mining runs are deterministic, so min-of-N is the standard
-/// noise filter.
-pub fn time_best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
-    f(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let t = Instant::now();
-        let r = f();
-        let dt = t.elapsed().as_secs_f64();
-        std::hint::black_box(r);
-        best = best.min(dt);
-    }
-    best
-}

@@ -7,7 +7,9 @@
 //! galloping — performs zero allocations, and so does the horizontal
 //! pass that counts a root item's pairs into a caller-owned counter
 //! array. Building a hybrid set allocates each array chunk's values
-//! once: `TidSet::from_sorted` hands them to the container.
+//! once: `TidSet::from_sorted` hands them to the container, and an AND
+//! with an array operand intersects on the stack and allocates its
+//! result once, at its exact size.
 
 use also::adapt::ContainerKind;
 use also::bits::BitVec;
@@ -192,5 +194,24 @@ fn from_sorted_allocates_each_array_chunk_once() {
     assert_eq!(set.chunk_kinds(), [(0, ContainerKind::Array, 3_000)]);
     if guard_active() {
         assert_eq!((count.allocations, count.bytes), (3, 6_136));
+    }
+}
+
+#[test]
+fn array_and_allocates_its_result_once() {
+    // Two single-chunk arrays of 3 000 tids sharing 1 000: the key
+    // vector (8 bytes), the chunk vector (128) and the 1 000 shared low
+    // halves (2 000), with no scratch buffer and no copy.
+    let a: Vec<u32> = (0..3_000u32).map(|t| t * 3).collect();
+    let b: Vec<u32> = (0..3_000u32)
+        .map(|t| t * 3 + u32::from(t % 3 != 0))
+        .collect();
+    let (a, b) = (TidSet::from_sorted(&a), TidSet::from_sorted(&b));
+    let (both, count) = count_allocs(|| a.and(&b));
+    let want: Vec<u32> = (0..1_000u32).map(|t| t * 9).collect();
+    assert_eq!(both.to_vec(), want);
+    assert_eq!(both.chunk_kinds(), [(0, ContainerKind::Array, 1_000)]);
+    if guard_active() {
+        assert_eq!((count.allocations, count.bytes), (3, 2_136));
     }
 }

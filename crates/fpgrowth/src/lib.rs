@@ -22,6 +22,13 @@
 //!
 //! [`variants`] names the columns of the paper's Figure 8(d): `base`,
 //! `lex`, `reorg` (P2+P3), `pref`, `all`.
+//!
+//! At served supports most root walks build nothing: no item of the
+//! gathered base reaches minsup. Whether one can is a fact about the
+//! dataset (item `j` counts `sup({r, j})` in root item `r`'s base), so
+//! the [`spine`] reads each rank's pair ceiling off the dataset's cached
+//! ranking ([`fpm::pair_ceilings`]) and skips the walks that provably
+//! find nothing. Output, tasks and every tree built are unchanged.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -168,41 +175,67 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
 }
 
 pub(crate) struct Miner<'a, P, S> {
-    pub(crate) minsup: u64,
-    pub(crate) cfg: FpConfig,
-    pub(crate) probe: &'a mut P,
-    pub(crate) sink: &'a mut S,
+    minsup: u64,
+    cfg: FpConfig,
+    probe: &'a mut P,
+    sink: &'a mut S,
     pub(crate) stats: FpStats,
     /// Cooperative stop signal, polled once per (tree, item) step.
-    pub(crate) control: &'a MineControl,
+    control: &'a MineControl,
     /// Set when a control check cut the recursion: the emitted sequence
     /// is a strict prefix of the full serial output.
     pub(crate) cut: bool,
-    pub(crate) prefix: Vec<u32>,
-    // epoch-stamped conditional support counters
-    pub(crate) counts: Vec<u64>,
-    pub(crate) stamps: Vec<u32>,
-    pub(crate) epoch: u32,
+    prefix: Vec<u32>,
+    // epoch-stamped conditional support counters, sized by the first
+    // walk
+    counts: Vec<u64>,
+    stamps: Vec<u32>,
+    epoch: u32,
     /// Reused buffers for gathering conditional pattern bases.
-    pub(crate) base: CondBase,
+    base: CondBase,
 }
 
-impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
+impl<'a, P: Probe, S: PatternSink> Miner<'a, P, S> {
+    pub(crate) fn new(
+        minsup: u64,
+        cfg: FpConfig,
+        probe: &'a mut P,
+        sink: &'a mut S,
+        control: &'a MineControl,
+    ) -> Self {
+        Miner {
+            minsup,
+            cfg,
+            probe,
+            sink,
+            stats: FpStats::default(),
+            control,
+            cut: false,
+            prefix: Vec::new(),
+            counts: Vec::new(),
+            stamps: Vec::new(),
+            epoch: 0,
+            base: CondBase::default(),
+        }
+    }
+
     /// Mines one conditional tree: bottom-up over its header table.
     fn mine_tree(&mut self, tree: &FpTree) {
         for item in (0..tree.n_ranks() as u32).rev() {
-            self.mine_item(tree, item);
+            self.mine_item(tree, item, true);
         }
     }
 
     /// Mines the subtree of itemsets whose *last* (highest-rank) item is
-    /// `item`: emits the extended prefix, builds `item`'s conditional
-    /// tree, and recurses into it. Conditional trees for different items
-    /// of the root tree are independent — the decomposition the [`spine`]
-    /// hands to the parallel driver as tasks.
+    /// `item`: emits the extended prefix and, when `walk` is set, builds
+    /// `item`'s conditional tree and recurses into it. Conditional trees
+    /// for different items of the root tree are independent — the
+    /// decomposition the [`spine`] hands to the parallel driver as tasks.
+    /// The spine clears `walk` for a root item whose base provably holds
+    /// no frequent item.
     ///
     /// [`spine`]: crate::spine
-    pub(crate) fn mine_item(&mut self, tree: &FpTree, item: u32) {
+    pub(crate) fn mine_item(&mut self, tree: &FpTree, item: u32, walk: bool) {
         if self.control.should_stop() {
             self.cut = true;
             return;
@@ -214,8 +247,10 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
         self.prefix.push(item);
         self.sink.emit(&self.prefix, sup);
         self.stats.emitted += 1;
-        if let Some(cond) = self.conditional_tree(tree, item) {
-            self.mine_tree(&cond);
+        if walk {
+            if let Some(cond) = self.conditional_tree(tree, item) {
+                self.mine_tree(&cond);
+            }
         }
         self.prefix.pop();
     }
@@ -225,10 +260,15 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
     /// compute conditional supports, filter infrequent items, and
     /// re-insert. Returns `None` before building a tree when no base
     /// item is frequent.
-    fn conditional_tree(&mut self, tree: &FpTree, item: u32) -> Option<FpTree> {
+    pub(crate) fn conditional_tree(&mut self, tree: &FpTree, item: u32) -> Option<FpTree> {
         // Pass 1: gather the paths back to back into `base.items`, each
         // path's end offset and count into `base.paths`, and count
-        // conditional supports.
+        // conditional supports. The first walk is a root item's, so it
+        // sizes the counters for every later, smaller tree.
+        if self.stamps.len() < tree.n_ranks() {
+            self.counts.resize(tree.n_ranks(), 0);
+            self.stamps.resize(tree.n_ranks(), 0);
+        }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamps.fill(0);
@@ -296,7 +336,7 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
 /// keeps one and reuses it from tree to tree, so a base costs no
 /// allocation once the buffers have grown to the largest base seen.
 #[derive(Default)]
-pub(crate) struct CondBase {
+struct CondBase {
     /// `(node, count)` of every header-chain node of the item.
     chain: Vec<(u32, u32)>,
     /// The non-empty prefix paths, back to back, each ascending in rank.

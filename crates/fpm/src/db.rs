@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 /// The database is immutable once built, so it caches its frequency
 /// ranking: the first [`crate::remap()`] or
 /// [`crate::bound::candidate_bound`] counts it, and every later one cuts
-/// it (see [`mod@crate::remap`]). Equality and `Debug` ignore the cache.
+/// it (see [`mod@crate::remap`]). The ranking also keeps the pair
+/// ceilings [`crate::pair_ceilings`] has counted. Equality and `Debug`
+/// ignore the cache; `Clone` copies it.
 #[derive(Clone, Default)]
 pub struct TransactionDb {
     transactions: Vec<Vec<Item>>,

@@ -18,11 +18,19 @@
 //! the ranking and each row's frequent items are a prefix of its ranked
 //! row: every remap is a cut of the cached ranking, with the same output
 //! as counting, filtering and sorting afresh.
+//!
+//! The ranking also caches each rank's **pair ceiling** (see
+//! [`pair_ceilings`]): the largest support any more frequent item shares
+//! with it, `max_{j<r} sup({r, j})`. That is the largest count an item
+//! reaches in rank `r`'s FP-Growth root conditional base, and it does
+//! not depend on minsup. Only FP-Growth asks for it. A call computes the
+//! ranks it keeps that no earlier call computed, so later mines at any
+//! minsup extend the cache and never count a rank twice.
 
 use crate::db::TransactionDb;
 use crate::types::{Item, Tid};
 use memsim::Probe;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The item-id translation produced by [`remap`].
 #[derive(Debug, Clone)]
@@ -107,6 +115,26 @@ pub fn remap_lex<P: Probe>(db: &TransactionDb, minsup: u64, lex: bool, probe: &m
     ranked
 }
 
+/// The pair ceilings of the ranks that reach `minsup`: entry `r` is
+/// `max_{j<r} sup({r, j})`, the largest support that any more frequent
+/// item shares with rank `r` (0 for rank 0). Ranks are [`remap`]'s at
+/// every minsup.
+///
+/// In FP-Growth's root tree, item `j` counts exactly `sup({r, j})` in
+/// the conditional base of root item `r`. So that base holds an item
+/// reaching `minsup` if and only if `r`'s ceiling reaches `minsup`.
+///
+/// Cached on `db` next to its ranking (see the module docs). A call
+/// counts only the kept ranks that no earlier call counted: it scatters
+/// each such rank's rows into a column, then counts the items each of
+/// those rows holds below the rank. The cost is the number of item
+/// pairs the new ranks' rows hold, paid once per dataset; the column
+/// buffer is freed before the call returns.
+pub fn pair_ceilings(db: &TransactionDb, minsup: u64) -> Vec<u64> {
+    let ranking = db.ranking();
+    ranking.pair_ceilings(db, ranking.frequent(minsup))
+}
+
 /// Cuts `db`'s cached ranking at `minsup` and builds each kept row once:
 /// in row order, or with `lex` in lexicographic order, radix-sorting the
 /// borrowed cuts first so that no row is built and then moved or copied.
@@ -146,14 +174,36 @@ fn dense_ids(db: &TransactionDb) -> bool {
 
 /// A database's frequency ranking: every occurring item, ranked by
 /// decreasing support with ties by ascending id, and — built by the
-/// first cut that keeps an item — every row in ascending rank. Cached
-/// on the [`TransactionDb`]; see the module docs.
+/// first cut that keeps an item — every row in ascending rank, plus the
+/// pair ceilings of the ranks asked for so far. Cached on the
+/// [`TransactionDb`]; see the module docs.
 #[derive(Clone)]
 pub(crate) struct Ranking {
     to_orig: Vec<Item>,
     /// Non-increasing, all at least 1.
     supports: Vec<u64>,
     rows: OnceLock<RankedRows>,
+    ceilings: Ceilings,
+}
+
+/// The pair ceilings of ranks `0..len`, a prefix that only grows.
+/// Locked while a call extends it, so concurrent mines of one dataset
+/// count each rank once.
+#[derive(Default)]
+struct Ceilings(Mutex<Vec<u64>>);
+
+impl Clone for Ceilings {
+    fn clone(&self) -> Self {
+        Ceilings(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl Ceilings {
+    /// Every push appends one finished rank, so the prefix stays exact
+    /// even if a computation panicked while holding the lock.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Every row of a database over ranks, ascending, back to back.
@@ -197,6 +247,7 @@ impl Ranking {
             to_orig,
             supports,
             rows: OnceLock::new(),
+            ceilings: Ceilings::default(),
         }
     }
 
@@ -219,6 +270,17 @@ impl Ranking {
             .flat_map(|rows| rows.offsets.windows(2).map(|w| &rows.ranks[w[0]..w[1]]))
             .map(move |row| &row[..row.partition_point(|&r| (r as usize) < m)])
             .filter(|row| !row.is_empty())
+    }
+
+    /// The pair ceilings of ranks `0..m`, counting the ones not cached
+    /// yet (see [`pair_ceilings`]).
+    fn pair_ceilings(&self, db: &TransactionDb, m: usize) -> Vec<u64> {
+        let mut ceilings = self.ceilings.lock();
+        if ceilings.len() < m {
+            let rows = self.rows.get_or_init(|| self.rank_rows(db));
+            rows.extend_ceilings(&self.supports, &mut ceilings, m);
+        }
+        ceilings[..m].to_vec()
     }
 
     /// Lays every row of `db` out in ascending rank by a counting
@@ -268,6 +330,56 @@ impl Ranking {
             start = end;
         }
         RankedRows { ranks, offsets }
+    }
+}
+
+impl RankedRows {
+    /// Appends the pair ceilings of ranks `ceilings.len()..m`, whose
+    /// column sizes are `supports`: scatters the tids of each new rank's
+    /// rows into its column, then for each new rank `r` counts, per
+    /// item, the prefixes below `r` of its rows, keeping the largest
+    /// count. The counts are stamped with their rank, so none is zeroed.
+    fn extend_ceilings(&self, supports: &[u64], ceilings: &mut Vec<u64>, m: usize) {
+        let first = ceilings.len();
+        // Column `r - first`'s fill cursor; after the scatter, its end.
+        let mut column_end = Vec::with_capacity(m - first);
+        let mut n = 0;
+        for &s in &supports[first..m] {
+            column_end.push(n);
+            n += s as usize;
+        }
+        let mut tids: Vec<Tid> = vec![0; n];
+        for (tid, w) in self.offsets.windows(2).enumerate() {
+            let tid = Tid::try_from(tid).expect("row ids fit a Tid");
+            let row = &self.ranks[w[0]..w[1]];
+            let new = &row[row.partition_point(|&r| (r as usize) < first)..];
+            for &r in new.iter().take_while(|&&r| (r as usize) < m) {
+                let end = &mut column_end[r as usize - first];
+                tids[*end] = tid;
+                *end += 1;
+            }
+        }
+        // `(rank + 1, count)` per item: a count stamped with another
+        // rank reads as zero.
+        let mut counts = vec![(0usize, 0u64); m];
+        let mut start = 0;
+        for (r, &end) in (first..m).zip(&column_end) {
+            let mut ceiling = 0;
+            for &tid in &tids[start..end] {
+                let row = &self.ranks[self.offsets[tid as usize]..];
+                for &j in row.iter().take_while(|&&j| (j as usize) < r) {
+                    let (stamp, count) = &mut counts[j as usize];
+                    if *stamp != r + 1 {
+                        *stamp = r + 1;
+                        *count = 0;
+                    }
+                    *count += 1;
+                    ceiling = ceiling.max(*count);
+                }
+            }
+            ceilings.push(ceiling);
+            start = end;
+        }
     }
 }
 
@@ -494,15 +606,69 @@ mod tests {
         }
     }
 
+    /// The pair ceilings by definition, off the reference's ranked rows:
+    /// for each kept rank, the most rows it shares with a lower rank.
+    fn brute_ceilings(rows: &[Vec<u32>], m: usize) -> Vec<u64> {
+        (0..m as u32)
+            .map(|r| {
+                (0..r)
+                    .map(|j| {
+                        rows.iter()
+                            .filter(|t| t.contains(&r) && t.contains(&j))
+                            .count() as u64
+                    })
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pair_ceilings_match_a_brute_force_count(raw in arb_rows()) {
+            let shift = u32::MAX - 15;
+            let shifted: Vec<Vec<Item>> = raw
+                .iter()
+                .map(|t| t.iter().map(|&i| i + shift).collect())
+                .collect();
+            for raw in [raw, shifted] {
+                let all = reference(&TransactionDb::from_transactions(raw.clone()), 1);
+                let max = all.2.first().copied().unwrap_or(0);
+                let want = brute_ceilings(&all.0, all.1.len());
+                // Descending minsups keep more ranks at each call, so the
+                // cache is built short and then extended; ascending ones
+                // build it whole and then only read it. A remap between
+                // calls must neither need nor disturb it.
+                let ascending: Vec<u64> = (0..=max + 1).collect();
+                let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+                for minsups in [ascending, descending] {
+                    let db = TransactionDb::from_transactions(raw.clone());
+                    for s in minsups {
+                        let m = reference(&db, s).1.len();
+                        prop_assert_eq!(pair_ceilings(&db, s), &want[..m], "minsup {}", s);
+                        prop_assert_eq!(parts(remap(&db, s)), reference(&db, s), "minsup {}", s);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn equality_and_clone_ignore_the_ranking() {
         let (fresh, ranked) = (toy(), toy());
         let cloned_fresh = ranked.clone();
         let _ = remap(&ranked, 2);
+        let ceilings = pair_ceilings(&ranked, 3);
         let cloned_ranked = ranked.clone();
         assert_eq!(ranked, fresh);
         assert_eq!(cloned_ranked, cloned_fresh);
         assert_eq!(format!("{ranked:?}"), format!("{fresh:?}"));
+        // c, f and a: {c, f} in 4 rows, {c, a} and {f, a} in 3. Clones,
+        // taken with the ceilings cached or not, read and extend them as
+        // a fresh count would.
+        assert_eq!(ceilings, [0, 4, 3]);
         for minsup in 0..=5 {
             let expect = parts(remap(&toy(), minsup));
             assert_eq!(
@@ -512,6 +678,17 @@ mod tests {
             );
             assert_eq!(
                 parts(remap(&cloned_fresh, minsup)),
+                expect,
+                "minsup={minsup}"
+            );
+            let expect = pair_ceilings(&toy(), minsup);
+            assert_eq!(
+                pair_ceilings(&cloned_ranked, minsup),
+                expect,
+                "minsup={minsup}"
+            );
+            assert_eq!(
+                pair_ceilings(&cloned_fresh, minsup),
                 expect,
                 "minsup={minsup}"
             );

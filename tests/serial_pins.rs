@@ -146,11 +146,11 @@ const PINS: &[Row] = &[
     ("lcm/pref", &[442, 138925, 331636, 22398, 2619], (372421, 191340, 522976, 4842270, 262608), (5787320, 3974148), 0x5569361f8107b2ae),
     ("lcm/tile", &[442, 138925, 331636, 22398, 2619], (372421, 191340, 522976, 4858544, 0), (5787320, 3709112), 0x5569361f8107b2ae),
     ("lcm/all", &[442, 138925, 331636, 22398, 2619], (373755, 162567, 523576, 4746960, 230546), (5606320, 2670512), 0x5569361f8107b2ae),
-    ("fpgrowth/base", &[1026, 20048, 20048, 74902, 2619], (0, 194612, 56241, 1558052, 0), (2677448, 625924), 0x716c606656e7ecfa),
-    ("fpgrowth/lex", &[1026, 20048, 20048, 74902, 2619], (600, 142413, 56841, 1302128, 0), (2491560, 648832), 0x716c606656e7ecfa),
-    ("fpgrowth/reorg", &[1026, 20048, 20048, 74902, 2619], (20048, 153353, 56241, 1429838, 0), (1097320, 625924), 0x716c606656e7ecfa),
-    ("fpgrowth/pref", &[1026, 20048, 20048, 74902, 2619], (0, 194612, 56241, 1558052, 13173), (2677448, 625924), 0x716c606656e7ecfa),
-    ("fpgrowth/all", &[1026, 20048, 20048, 74902, 2619], (20648, 101154, 56841, 1173914, 13173), (911432, 648832), 0x716c606656e7ecfa),
+    ("fpgrowth/base", &[1026, 20048, 20047, 74902, 2619], (0, 194611, 56241, 1558042, 0), (2677424, 625924), 0x716c606656e7ecfa),
+    ("fpgrowth/lex", &[1026, 20048, 20047, 74902, 2619], (600, 142412, 56841, 1302118, 0), (2491536, 648832), 0x716c606656e7ecfa),
+    ("fpgrowth/reorg", &[1026, 20048, 20047, 74902, 2619], (20047, 153351, 56241, 1429814, 0), (1097296, 625924), 0x716c606656e7ecfa),
+    ("fpgrowth/pref", &[1026, 20048, 20047, 74902, 2619], (0, 194611, 56241, 1558042, 13173), (2677424, 625924), 0x716c606656e7ecfa),
+    ("fpgrowth/all", &[1026, 20048, 20047, 74902, 2619], (20647, 101152, 56841, 1173890, 13173), (911408, 648832), 0x716c606656e7ecfa),
     ("eclat/base", &[10592, 169472, 0, 0], (699072, 0, 10592, 2542080, 0), (3389440, 1355776), 0x5569361f8107b2ae),
     ("eclat/lex", &[10592, 91351, 78121, 0], (387188, 0, 11192, 1427535, 0), (1849928, 753716), 0x5569361f8107b2ae),
     ("eclat/simd", &[10592, 169472, 0, 0], (21184, 0, 10592, 338944, 0), (2711552, 1355776), 0x5569361f8107b2ae),
