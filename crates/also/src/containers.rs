@@ -30,6 +30,7 @@
 //! layout, and iteration order is always ascending tid order.
 
 use crate::adapt::{choose_container, ContainerKind, ARRAY_MAX};
+use std::cell::RefCell;
 
 /// Bits of a tid addressing *within* a chunk.
 pub const CHUNK_BITS: u32 = 16;
@@ -497,13 +498,21 @@ pub fn runs_and(a: &[Run], b: &[Run], out: &mut Vec<Run>) {
 // Pairwise chunk AND — all nine type pairs.
 // ---------------------------------------------------------------------------
 
+thread_local! {
+    /// The buffer [`array_result`] intersects into. Const-initialized, so
+    /// it is zeroed once, with the thread's static storage, and never
+    /// allocated; the kernels overwrite the slots they report.
+    static ARRAY_SCRATCH: RefCell<[u16; ARRAY_MAX]> = const { RefCell::new([0; ARRAY_MAX]) };
+}
+
 /// An AND with an array operand: `and_into` writes at most the array's
-/// [`ARRAY_MAX`] values into a stack buffer, and the result array is
-/// allocated once, at its exact size.
+/// [`ARRAY_MAX`] values into this thread's scratch buffer, and the result
+/// array is allocated once, at its exact size.
 fn array_result(and_into: impl FnOnce(&mut [u16]) -> usize) -> Option<Container> {
-    let mut out = [0u16; ARRAY_MAX];
-    let n = and_into(&mut out);
-    (n > 0).then(|| Container::Array(out[..n].to_vec()))
+    ARRAY_SCRATCH.with_borrow_mut(|out| {
+        let n = and_into(out);
+        (n > 0).then(|| Container::Array(out[..n].to_vec()))
+    })
 }
 
 fn normalize_bitmap(words: Box<[u64; BITMAP_WORDS]>, card: u32) -> Option<Container> {

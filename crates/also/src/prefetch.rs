@@ -1,22 +1,23 @@
-//! **P5 — Prefetch pointers** and **P7 — Software prefetch** (with the
-//! paper's new **P7.1 wave-front prefetching**): latency hiding for linked
-//! data structures, where hardware prefetchers cannot predict the next
-//! address.
+//! **P7 — Software prefetch**: the cache-fill hint the kernels' latency
+//! hiding is built from. Hardware prefetchers cannot predict the next
+//! address of a linked structure; the code that walks it can, and issues
+//! a non-binding hint for an address it will dereference a few hundred
+//! cycles later.
 //!
-//! *Software prefetch* (P7) issues a non-binding cache-fill hint for an
-//! address the code will dereference a few hundred cycles later.
-//! *Prefetch pointers* (P5, after Roth & Sohi's jump pointers) are an
-//! auxiliary structure built in a preprocessing pass: each node stores the
-//! address of the node `d` steps ahead in traversal order, so the prefetch
-//! distance can exceed one dependent load.
+//! The two schemes the paper builds on the hint live in the kernels that
+//! apply them, each shaped by its own traversal:
 //!
-//! *Wave-front prefetching* (P7.1, Figure 5 of the paper) targets the
-//! structure both LCM and FP-Growth traverse constantly: an **array of
-//! short linked lists**. Chain-based prefetch schemes need long chains to
-//! win; here each chain is only a few nodes. The wave-front instead
-//! prefetches across *different* lists in the same iteration — while list
-//! `i` is being walked, the heads (and early nodes) of lists `i+1 … i+D`
-//! are already in flight.
+//! * **P7.1 wave-front prefetching** (Figure 5) — LCM's `deliver_column`
+//!   (`crates/lcm/src/miner.rs`). While occurrence `k` of a column is
+//!   counted, the transaction header and the arena item of occurrence
+//!   `k + d` are already in flight, so the short per-transaction chases
+//!   of *different* lists overlap.
+//! * **P5 prefetch pointers** (after Roth & Sohi's jump pointers) —
+//!   FP-Growth's `FpTree::finalize` (`crates/fpgrowth/src/tree.rs`)
+//!   builds, in one pass over the linked header chains, a table mapping
+//!   every chain node to the node two links further down, and
+//!   `FpTree::for_each_chain_node` prefetches that target, so the hint
+//!   runs two links ahead of the walk.
 
 /// Issues a read prefetch hint for the cache line containing `p`.
 ///
@@ -34,108 +35,6 @@ pub fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Prefetches the element `dist` ahead of position `i` in `slice`, if it
-/// exists. The bread-and-butter loop prologue of P7.
-#[inline(always)]
-pub fn prefetch_ahead<T>(slice: &[T], i: usize, dist: usize) {
-    if let Some(x) = slice.get(i + dist) {
-        prefetch_read(x as *const T);
-    }
-}
-
-/// Visits each element of `items` in order, prefetching — via `addr_of`,
-/// which maps an element to the memory it will cause to be dereferenced —
-/// the element `dist` positions ahead.
-///
-/// This is the wave-front core: when `items` is an array of list heads,
-/// `addr_of` returns the first node of each list, and the head of list
-/// `i+dist` is in flight while list `i` is walked. With `dist == 0` this
-/// degrades gracefully to a plain loop (no prefetch).
-#[inline]
-pub fn wavefront<T>(
-    items: &[T],
-    dist: usize,
-    mut addr_of: impl FnMut(&T) -> *const u8,
-    mut visit: impl FnMut(usize, &T),
-) {
-    if dist == 0 {
-        for (i, it) in items.iter().enumerate() {
-            visit(i, it);
-        }
-        return;
-    }
-    // Prime the pipe.
-    for it in items.iter().take(dist.min(items.len())) {
-        prefetch_read(addr_of(it));
-    }
-    for (i, it) in items.iter().enumerate() {
-        if let Some(ahead) = items.get(i + dist) {
-            prefetch_read(addr_of(ahead));
-        }
-        visit(i, it);
-    }
-}
-
-/// Jump pointers (P5): an auxiliary table mapping every node to the node
-/// `dist` steps later in traversal order. During traversal, prefetching
-/// `jump[n]` hides `dist` dependent loads of latency.
-///
-/// ```
-/// use also::prefetch::{JumpPointers, NO_JUMP};
-/// let chain = vec![vec![7u32, 3, 5, 1]]; // one traversal chain
-/// let jp = JumpPointers::build(8, &chain, 2);
-/// assert_eq!(jp.target(7), 5);
-/// assert_eq!(jp.target(3), 1);
-/// assert_eq!(jp.target(5), NO_JUMP); // fewer than 2 nodes remain
-/// ```
-#[derive(Debug, Clone)]
-pub struct JumpPointers {
-    jump: Vec<u32>,
-    dist: usize,
-}
-
-/// Sentinel for "no jump target" (end of the chain).
-pub const NO_JUMP: u32 = u32::MAX;
-
-impl JumpPointers {
-    /// Builds jump pointers of distance `dist` over `n_nodes` nodes whose
-    /// traversal order is the concatenation of the `chains` (each chain a
-    /// sequence of node ids, e.g. one FP-tree header list per item).
-    ///
-    /// Nodes not on any chain get [`NO_JUMP`]. A node appearing in
-    /// multiple chains keeps the pointer from the *last* chain mentioning
-    /// it (chains are normally disjoint).
-    pub fn build<C: AsRef<[u32]>>(n_nodes: usize, chains: &[C], dist: usize) -> Self {
-        let mut jump = vec![NO_JUMP; n_nodes];
-        for chain in chains {
-            let c = chain.as_ref();
-            for (i, &n) in c.iter().enumerate() {
-                if let Some(&target) = c.get(i + dist) {
-                    jump[n as usize] = target;
-                }
-            }
-        }
-        JumpPointers { jump, dist }
-    }
-
-    /// The prefetch target for `node`, or [`NO_JUMP`].
-    #[inline]
-    pub fn target(&self, node: u32) -> u32 {
-        self.jump[node as usize]
-    }
-
-    /// The build-time distance.
-    pub fn dist(&self) -> usize {
-        self.dist
-    }
-
-    /// Extra memory the auxiliary structure costs, in bytes — reported by
-    /// benches ("at the expense of extra storage", §3.3).
-    pub fn bytes(&self) -> usize {
-        self.jump.len() * 4
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,56 +44,6 @@ mod tests {
         prefetch_read(std::ptr::null::<u8>());
         prefetch_read(0xdead_beef as *const u64);
         let v = [1u8, 2, 3];
-        prefetch_ahead(&v, 0, 2);
-        prefetch_ahead(&v, 2, 5); // out of range: no-op
-    }
-
-    #[test]
-    fn wavefront_visits_everything_in_order() {
-        let items: Vec<u32> = (0..37).collect();
-        for dist in [0usize, 1, 3, 8, 100] {
-            let mut seen = Vec::new();
-            wavefront(
-                &items,
-                dist,
-                |x| x as *const u32 as *const u8,
-                |i, &x| {
-                    assert_eq!(i as u32, x);
-                    seen.push(x);
-                },
-            );
-            assert_eq!(seen, items, "dist={dist}");
-        }
-    }
-
-    #[test]
-    fn wavefront_on_empty_slice() {
-        let items: Vec<u32> = vec![];
-        let mut n = 0;
-        wavefront(&items, 3, |x| x as *const u32 as *const u8, |_, _| n += 1);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn jump_pointers_follow_chains() {
-        // Two chains over 8 nodes: [0,2,4,6] and [1,3,5].
-        let jp = JumpPointers::build(8, &[vec![0u32, 2, 4, 6], vec![1, 3, 5]], 2);
-        assert_eq!(jp.target(0), 4);
-        assert_eq!(jp.target(2), 6);
-        assert_eq!(jp.target(4), NO_JUMP);
-        assert_eq!(jp.target(1), 5);
-        assert_eq!(jp.target(3), NO_JUMP);
-        assert_eq!(jp.target(7), NO_JUMP); // not on any chain
-        assert_eq!(jp.bytes(), 32);
-        assert_eq!(jp.dist(), 2);
-    }
-
-    #[test]
-    fn jump_distance_one_is_plain_next() {
-        let jp = JumpPointers::build(4, &[vec![3u32, 1, 0, 2]], 1);
-        assert_eq!(jp.target(3), 1);
-        assert_eq!(jp.target(1), 0);
-        assert_eq!(jp.target(0), 2);
-        assert_eq!(jp.target(2), NO_JUMP);
+        prefetch_read(v.as_ptr());
     }
 }

@@ -13,7 +13,11 @@
 //!
 //! The occurrence lists are sorted by transaction index, so "the entries
 //! of column `c` inside tile `[lo, hi)`" is a contiguous sub-slice found
-//! by advancing a cursor — [`TiledLists`] manages those cursors.
+//! by advancing a cursor. LCM's `count_tiles` (`crates/lcm/src/miner.rs`)
+//! is that loop nest: it keeps one cursor and one dense count row per
+//! candidate and allocates nothing inside it. This module holds the two
+//! pieces it shares with any tiled walk: the tile ranges ([`tiles`]) and
+//! the tile size ([`tile_rows_for_cache`]).
 
 use std::ops::Range;
 
@@ -35,79 +39,6 @@ pub fn tiles(n_rows: usize, tile_rows: usize) -> impl Iterator<Item = Range<usiz
 /// factor of 2 leaves room for the auxiliary arrays sharing the cache.
 pub fn tile_rows_for_cache(bytes_per_row: usize, cache_bytes: usize) -> usize {
     (cache_bytes / 2 / bytes_per_row.max(1)).max(1)
-}
-
-/// Cursor-managed tiled traversal over an array of ascending-sorted `u32`
-/// lists (a CSC-like sparse matrix: one list of row indices per column).
-///
-/// ```
-/// use also::tiling::TiledLists;
-/// let col0 = [0u32, 5, 9];
-/// let col1 = [4u32, 5];
-/// let lists = [&col0[..], &col1[..]];
-/// let mut seen = Vec::new();
-/// TiledLists::new(&lists).run(10, 5, |col, sub| seen.push((col, sub.to_vec())));
-/// // tile [0,5): col0 gets {0}, col1 gets {4}; tile [5,10): {5,9} and {5}
-/// assert_eq!(seen, vec![
-///     (0, vec![0]), (1, vec![4]),
-///     (0, vec![5, 9]), (1, vec![5]),
-/// ]);
-/// ```
-pub struct TiledLists<'a> {
-    lists: &'a [&'a [u32]],
-    cursors: Vec<u32>,
-}
-
-impl<'a> TiledLists<'a> {
-    /// Wraps `lists`; every list must be sorted ascending (checked in
-    /// debug builds).
-    pub fn new(lists: &'a [&'a [u32]]) -> Self {
-        #[cfg(debug_assertions)]
-        for l in lists {
-            debug_assert!(l.windows(2).all(|w| w[0] <= w[1]), "lists must be sorted");
-        }
-        TiledLists {
-            lists,
-            cursors: vec![0; lists.len()],
-        }
-    }
-
-    /// Processes one tile: for every list, `visit(list_index, sub)` where
-    /// `sub` is the slice of entries `e` with `rows.start <= e < rows.end`.
-    /// Tiles must be visited in ascending, non-overlapping order (the
-    /// cursors only move forward).
-    ///
-    /// Lists with no entry in the tile are skipped (no callback), matching
-    /// the sparse setting where most columns are absent from most tiles.
-    pub fn visit_tile(&mut self, rows: Range<usize>, mut visit: impl FnMut(usize, &[u32])) {
-        let end = rows.end as u32;
-        for (ci, list) in self.lists.iter().enumerate() {
-            let start = self.cursors[ci] as usize;
-            if start >= list.len() {
-                continue;
-            }
-            debug_assert!(
-                list[start] as usize >= rows.start,
-                "tiles must be visited in ascending order"
-            );
-            let mut stop = start;
-            while stop < list.len() && list[stop] < end {
-                stop += 1;
-            }
-            if stop > start {
-                visit(ci, &list[start..stop]);
-                self.cursors[ci] = stop as u32;
-            }
-        }
-    }
-
-    /// Runs the complete tiled traversal: outer loop over tiles of
-    /// `tile_rows` rows covering `0..n_rows`, inner loop over lists.
-    pub fn run(&mut self, n_rows: usize, tile_rows: usize, mut visit: impl FnMut(usize, &[u32])) {
-        for t in tiles(n_rows, tile_rows) {
-            self.visit_tile(t, &mut visit);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,57 +72,5 @@ mod tests {
         assert_eq!(tile_rows_for_cache(64, 16 * 1024), 128);
         assert_eq!(tile_rows_for_cache(1 << 30, 16 * 1024), 1); // never zero
         assert_eq!(tile_rows_for_cache(0, 16 * 1024), 8 * 1024);
-    }
-
-    #[test]
-    fn tiled_traversal_sees_every_entry_once_grouped_by_tile() {
-        let l0: Vec<u32> = vec![0, 5, 9, 10, 99];
-        let l1: Vec<u32> = vec![7];
-        let l2: Vec<u32> = vec![];
-        let binding = [l0.as_slice(), l1.as_slice(), l2.as_slice()];
-        let mut tl = TiledLists::new(&binding);
-        let mut seen: Vec<(usize, Vec<u32>)> = Vec::new();
-        tl.run(100, 10, |ci, sub| seen.push((ci, sub.to_vec())));
-        assert_eq!(
-            seen,
-            vec![
-                (0, vec![0, 5, 9]),
-                (1, vec![7]),
-                (0, vec![10]),
-                (0, vec![99]),
-            ]
-        );
-    }
-
-    #[test]
-    fn tiled_equals_untiled_aggregate() {
-        // Pseudo-random lists; tiled visit must reproduce each full list
-        // when sub-slices are concatenated.
-        let mut s = 12345u64;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let lists: Vec<Vec<u32>> = (0..20)
-            .map(|_| {
-                let mut v: Vec<u32> = (0..50).map(|_| (rnd() % 1000) as u32).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-        let mut tl = TiledLists::new(&refs);
-        let mut rebuilt: Vec<Vec<u32>> = vec![Vec::new(); lists.len()];
-        for tile_rows in [1usize, 7, 64, 1000, 5000] {
-            for r in &mut rebuilt {
-                r.clear();
-            }
-            tl = TiledLists::new(&refs);
-            tl.run(1000, tile_rows, |ci, sub| rebuilt[ci].extend_from_slice(sub));
-            assert_eq!(rebuilt, lists, "tile_rows={tile_rows}");
-        }
-        let _ = tl;
     }
 }

@@ -6,9 +6,7 @@ use also::adapt::{DeltaByte, NO_PARENT};
 use also::aggregate::{ChunkPool, ChunkedList};
 use also::bits::BitVec;
 use also::lexorder;
-use also::prefetch::{wavefront, JumpPointers, NO_JUMP};
 use also::simd::{and_count_escaped, and_count_words, Popcount};
-use also::tiling::TiledLists;
 use proptest::prelude::*;
 
 proptest! {
@@ -100,30 +98,6 @@ proptest! {
         }
     }
 
-    /// Tiled traversal of sorted lists reconstructs each list exactly,
-    /// for every tile size.
-    #[test]
-    fn tiling_reconstructs_lists(mut lists in prop::collection::vec(
-            prop::collection::vec(0u32..500, 0..60), 1..12),
-        tile in 1usize..600) {
-        for l in &mut lists { l.sort_unstable(); }
-        let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-        let mut tl = TiledLists::new(&refs);
-        let mut rebuilt: Vec<Vec<u32>> = vec![Vec::new(); lists.len()];
-        tl.run(500, tile, |ci, sub| rebuilt[ci].extend_from_slice(sub));
-        prop_assert_eq!(rebuilt, lists);
-    }
-
-    /// Wave-front prefetch visits exactly the plain-loop sequence.
-    #[test]
-    fn wavefront_is_transparent(items in prop::collection::vec(any::<u32>(), 0..100),
-                                dist in 0usize..10) {
-        let mut seen = Vec::new();
-        wavefront(&items, dist, |x| x as *const u32 as *const u8,
-                  |_, &x| seen.push(x));
-        prop_assert_eq!(seen, items);
-    }
-
     /// Differential byte encoding decodes back to the original item for
     /// arbitrary parent/child rank chains.
     #[test]
@@ -140,19 +114,6 @@ proptest! {
         }
         for (n, &(p, it, byte)) in stored.iter().enumerate() {
             prop_assert_eq!(codec.decode(n as u32, p, byte), it);
-        }
-    }
-
-    /// Jump pointers of distance d over a chain point exactly d hops ahead.
-    #[test]
-    fn jump_pointers_distance(len in 1usize..200, dist in 0usize..8) {
-        let chain: Vec<u32> = (0..len as u32).collect();
-        let jp = JumpPointers::build(len, std::slice::from_ref(&chain), dist);
-        for (i, &n) in chain.iter().enumerate() {
-            let expect = if dist > 0 && i + dist < len { chain[i + dist] } else { NO_JUMP };
-            // dist == 0 means every node "jumps" to itself per build rule:
-            let expect = if dist == 0 { chain[i] } else { expect };
-            prop_assert_eq!(jp.target(n), expect);
         }
     }
 }

@@ -134,12 +134,7 @@ pub fn dir() -> PathBuf {
 
 /// FNV-1a over raw bytes — the corpus digest function.
 pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fpm::fnv1a(fpm::FNV_OFFSET, bytes)
 }
 
 /// The first `lines` whole lines of `bytes` (all of them when there are

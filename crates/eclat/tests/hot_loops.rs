@@ -8,8 +8,8 @@
 //! pass that counts a root item's pairs into a caller-owned counter
 //! array. Building a hybrid set allocates each array chunk's values
 //! once: `TidSet::from_sorted` hands them to the container, and an AND
-//! with an array operand intersects on the stack and allocates its
-//! result once, at its exact size.
+//! with an array operand intersects into a per-thread scratch buffer and
+//! allocates its result once, at its exact size.
 
 use also::adapt::ContainerKind;
 use also::bits::BitVec;
@@ -201,7 +201,8 @@ fn from_sorted_allocates_each_array_chunk_once() {
 fn array_and_allocates_its_result_once() {
     // Two single-chunk arrays of 3 000 tids sharing 1 000: the key
     // vector (8 bytes), the chunk vector (128) and the 1 000 shared low
-    // halves (2 000), with no scratch buffer and no copy.
+    // halves (2 000). The scratch buffer is thread-local static storage,
+    // so it adds no allocation, even on the thread's first AND.
     let a: Vec<u32> = (0..3_000u32).map(|t| t * 3).collect();
     let b: Vec<u32> = (0..3_000u32)
         .map(|t| t * 3 + u32::from(t % 3 != 0))

@@ -503,6 +503,47 @@ mod tests {
         }
     }
 
+    /// Every nonempty subset of ranks `0..bits` as one transaction: a
+    /// prefix tree of `2^bits - 1` nodes whose rank-`r` chain holds `2^r`.
+    fn subsets(bits: u32) -> Vec<(Vec<u32>, u32)> {
+        (1..1u32 << bits)
+            .map(|k| ((0..bits).filter(|i| k >> i & 1 == 1).collect(), 1))
+            .collect()
+    }
+
+    #[test]
+    fn jump_table_points_two_links_down_each_chain() {
+        for repr in reprs().into_iter().filter(|r| r.jump_pointers) {
+            let t = build(&subsets(7), 7, repr);
+            assert_eq!((t.len(), t.jump.len()), (127, 127), "{repr:?}");
+            let mut on_chains = 0;
+            for r in 0..7 {
+                let mut chain = Vec::new();
+                let mut cur = t.header[r];
+                while cur != NONE {
+                    chain.push(cur);
+                    cur = t.link[cur as usize];
+                }
+                assert_eq!(chain.len(), 1 << r);
+                for (i, &n) in chain.iter().enumerate() {
+                    let two_down = chain.get(i + 2).copied().unwrap_or(NONE);
+                    assert_eq!(t.jump[n as usize], two_down, "rank {r}, link {i}, {repr:?}");
+                }
+                for &n in chain.iter().rev().take(2) {
+                    assert_eq!(t.jump[n as usize], NONE, "rank {r} chain tail, {repr:?}");
+                }
+                on_chains += chain.len();
+            }
+            assert_eq!(on_chains, t.len(), "every node lies on one chain");
+            let small = build(&subsets(6), 6, repr);
+            assert_eq!(small.len(), 63);
+            assert!(
+                small.jump.is_empty(),
+                "a tree below 64 nodes builds no table"
+            );
+        }
+    }
+
     #[test]
     fn deep_paths_exercise_agg_skip() {
         // one long chain: 0-1-2-...-19 → agg walk needs multiple skips

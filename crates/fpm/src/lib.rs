@@ -46,3 +46,24 @@ pub use sink::{
     StatsSink, TranslateSink,
 };
 pub use types::{Item, ItemsetCount, Kernel, MineKind, Tid};
+
+/// The 64-bit FNV-1a offset basis: the state every [`fnv1a`] hash starts
+/// from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h`. Folding pieces one
+/// after another hashes their concatenation, so callers feed each field
+/// as its little-endian bytes.
+///
+/// Store fingerprints, cache checksums, shard routing, load-schedule
+/// digests and the golden corpus digests all hash with this function.
+/// Artifacts, shard placement and `tests/goldens/digests.txt` record its
+/// values, so each of those uses pins its output in a test.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

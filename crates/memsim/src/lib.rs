@@ -14,7 +14,10 @@
 //! *relative* (LCM and FP-Growth sit far above the 0.33 optimum CPI and
 //! are memory bound; Eclat sits near it and is computation bound), and a
 //! calibrated latency model preserves that ordering. Absolute cycle
-//! counts are not claims.
+//! counts are not claims. For the same reason a run's [`MemReport`]
+//! counts hits and misses per cache level and the TLB but does not sort
+//! misses by cause (compulsory, capacity, conflict): Figure 2 and the
+//! Figure 8 panels need only the rates and the cycles.
 //!
 //! ```
 //! use fpm_memsim::{CacheProbe, Machine, Probe};
@@ -34,14 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod classify;
 pub mod machine;
 pub mod probe;
 pub mod report;
 pub mod trace;
 
 pub use cache::{CacheGeom, SetAssocCache};
-pub use classify::{ClassifyingCache, MissBreakdown};
 pub use machine::{Machine, MachineKind};
 pub use probe::{addr_of, slice_span, CacheProbe, NullProbe, Probe};
 pub use report::MemReport;

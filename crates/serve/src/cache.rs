@@ -43,15 +43,8 @@ pub use store::fingerprint;
 /// FNV-1a over a pattern list — length, items, and supports — the
 /// integrity stamp each cache entry carries from insert to probe.
 pub fn checksum(patterns: &[ItemsetCount]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = fpm::FNV_OFFSET;
+    let mut eat = |v: u64| h = fpm::fnv1a(h, &v.to_le_bytes());
     eat(patterns.len() as u64);
     for p in patterns {
         eat(p.items.len() as u64);
@@ -430,6 +423,16 @@ mod tests {
         let c = vec![ItemsetCount { items: vec![1, 2], support: 4 }];
         assert_ne!(checksum(&a), checksum(&c));
         assert_ne!(checksum(&a), checksum(&[]));
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        let patterns = vec![
+            ItemsetCount { items: vec![1], support: 3 },
+            ItemsetCount { items: vec![1, 2], support: 3 },
+            ItemsetCount { items: vec![4, 9, 70_000], support: 2 },
+        ];
+        assert_eq!(checksum(&patterns), 0x2a18_f6c8_ed98_1e25);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub enum DatasetSpec {
         /// Reproduction scale.
         scale: Scale,
     },
-    /// A FIMI `.dat` file on the server's filesystem.
+    /// A FIMI `.dat` file on the server's filesystem. Anything but a
+    /// regular file is rejected before it is opened.
     Path(String),
 }
 
@@ -44,11 +45,36 @@ impl DatasetSpec {
         match self {
             DatasetSpec::Inline(rows) => Ok(TransactionDb::from_transactions(rows.clone())),
             DatasetSpec::Named { dataset, scale } => Ok(dataset.generate(*scale)),
-            DatasetSpec::Path(path) => {
-                fpm::io::read_dat_file(path).map_err(|e| format!("cannot read {path:?}: {e}"))
-            }
+            DatasetSpec::Path(path) => read_path(path),
         }
     }
+}
+
+/// Reads the FIMI file a request names, if it is a regular file. The
+/// type is checked before the file is opened, because opening a FIFO
+/// blocks, and a device such as `/dev/zero` reads as one endless line. A
+/// failure names the path and, for a malformed line, its number, but
+/// quotes no byte of the file, so a request cannot read back a file that
+/// is not a `.dat` file.
+fn read_path(path: &str) -> Result<TransactionDb, String> {
+    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    if !meta.is_file() {
+        return Err(format!("cannot read {path:?}: not a regular file"));
+    }
+    fpm::io::read_dat_file(path).map_err(|e| {
+        // `fpm::io` words a malformed token as "line N: bad item <token>";
+        // keep only N.
+        let msg = e.to_string();
+        let line = msg
+            .strip_prefix("line ")
+            .and_then(|rest| rest.split_once(':'))
+            .map(|(n, _)| n)
+            .filter(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        match line {
+            Some(n) => format!("cannot read {path:?}: line {n} is not a FIMI transaction"),
+            None => format!("cannot read {path:?}: {}", e.kind()),
+        }
+    })
 }
 
 /// One mining query.

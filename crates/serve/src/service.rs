@@ -78,7 +78,7 @@ use crate::request::{DatasetSpec, Kernel, MineRequest, MineResponse, MineStats, 
 use exec::MinePlan;
 use fpm::control::{MineControl, StopCause};
 use fpm::metrics::MetricSet;
-use fpm::{CollectSink, ItemsetCount, PatternQuery, QueryKey, TransactionDb};
+use fpm::{fnv1a, CollectSink, ItemsetCount, PatternQuery, QueryKey, TransactionDb, FNV_OFFSET};
 use quest::{Dataset, Scale};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -526,19 +526,6 @@ impl MineService {
         // cache, so the flush sees a consistent snapshot.
         flush_store(&self.inner);
     }
-}
-
-/// The FNV-1a offset basis: the state [`fnv1a`] starts from.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into the FNV-1a state `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// FNV-1a over the dataset spec's identity — cheap (no dataset
@@ -1519,6 +1506,16 @@ mod tests {
             .map(|s| [stem_shard(Path::new(s), 2), stem_shard(Path::new(s), 4)])
             .collect();
         assert_eq!(shards, [[0, 2], [1, 3]]);
+        let smoke: Vec<usize> = [
+            quest::Dataset::Ds1,
+            quest::Dataset::Ds2,
+            quest::Dataset::Ds3,
+            quest::Dataset::Ds4,
+        ]
+        .into_iter()
+        .map(|d| shard_of(&named(d, quest::Scale::Smoke), 2))
+        .collect();
+        assert_eq!(smoke, [0, 1, 0, 0]);
     }
 
     #[test]

@@ -173,6 +173,61 @@ fn mixed_batch_exercises_the_outcome_taxonomy() {
 }
 
 #[test]
+fn hostile_paths_are_rejected_and_the_batch_goes_on() {
+    // A device that reads as one endless line, a directory, and a
+    // readable file that is not a FIMI file. Each is rejected, no reason
+    // quotes a byte of the file, and the line after each is answered.
+    let dir = std::env::temp_dir().join(format!("fpm-serve-paths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let secret = dir.join("secret.dat");
+    std::fs::write(&secret, "secret-token 1 2\n").unwrap();
+    let mut paths = vec![dir.display().to_string(), secret.display().to_string()];
+    if cfg!(unix) {
+        paths.insert(0, "/dev/zero".to_string());
+    }
+    let mut batch = String::new();
+    for path in &paths {
+        let quoted = fpm_serve::json::Json::Str(path.clone()).render();
+        batch.push_str(&format!(
+            r#"{{"dataset":{{"path":{quoted}}},"kernel":"lcm","min_support":1,"deadline_ms":200}}"#
+        ));
+        batch.push('\n');
+        batch.push_str(r#"{"dataset":{"inline":[[1,2],[1,2]]},"kernel":"lcm","min_support":2}"#);
+        batch.push('\n');
+    }
+    let svc = MineService::start(ServeConfig::default());
+    let mut out = Vec::new();
+    serve_lines(&svc, batch.as_bytes(), &mut out).unwrap();
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let replies: Vec<fpm_serve::json::Json> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| fpm_serve::json::parse(l).unwrap())
+        .collect();
+    assert_eq!(replies.len(), 2 * paths.len());
+    let field = |r: &fpm_serve::json::Json, key: &str| {
+        r.get(key)
+            .and_then(|v| v.as_str())
+            .unwrap_or_default()
+            .to_string()
+    };
+    for (path, pair) in paths.iter().zip(replies.chunks(2)) {
+        assert_eq!(field(&pair[0], "outcome"), "rejected", "{path}");
+        let reason = field(&pair[0], "reason");
+        assert!(reason.contains(path.as_str()), "{path}: {reason}");
+        assert!(!reason.contains("secret-token"), "{path}: {reason}");
+        assert_eq!(
+            field(&pair[1], "outcome"),
+            "complete",
+            "the line after {path}"
+        );
+    }
+    let secret_reason = field(&replies[replies.len() - 2], "reason");
+    assert!(secret_reason.contains("line 1"), "{secret_reason}");
+}
+
+#[test]
 fn parallel_service_deadline_still_yields_serial_prefix() {
     let svc = MineService::start(ServeConfig {
         mine_threads: 4,

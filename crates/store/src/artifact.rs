@@ -120,15 +120,8 @@ impl std::error::Error for LoadError {}
 /// cross-checked against the database the service rebuilds from the raw
 /// section.
 pub fn fingerprint(db: &TransactionDb) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = fpm::FNV_OFFSET;
+    let mut eat = |v: u64| h = fpm::fnv1a(h, &v.to_le_bytes());
     eat(db.len() as u64);
     for t in db.transactions() {
         eat(t.len() as u64);
@@ -627,6 +620,14 @@ mod tests {
             vec![ItemsetCount { items: vec![1, 2], support: 3 }],
         );
         (db, a)
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Artifacts record this number and warm start re-checks it, so
+        // it must be bit-identical across releases.
+        let db = TransactionDb::from_transactions(vec![vec![1, 2, 3], vec![7]]);
+        assert_eq!(fingerprint(&db), 0x0c48_e2fd_7e89_c762);
     }
 
     #[test]

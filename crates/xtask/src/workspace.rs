@@ -27,7 +27,6 @@ pub const EMISSION_PATHS: &[&str] = &[
     "crates/par/src/lib.rs",
     "crates/exec/src/lib.rs",
     "crates/apriori/src/lib.rs",
-    "crates/memsim/src/classify.rs",
     "crates/serve/src/cache.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/request.rs",
