@@ -28,9 +28,10 @@ pub enum Repr {
 
 /// Chooses a representation from gross input statistics.
 ///
-/// * dense tables (≥ `DENSE_THRESHOLD` fill) → bit matrix: a bit costs
-///   less than a 32-bit index once more than 1/32 of entries are set, and
-///   the vertical AND kernel is SIMD-friendly;
+/// * dense tables (≥ [`DENSE_THRESHOLD`] fill) → bit matrix: the
+///   vertical AND+popcount kernel streams whole words and is
+///   SIMD-friendly, and above that fill it mines faster than per-chunk
+///   containers even where it spends more memory;
 /// * sparse tables with heavy prefix sharing (low distinct-transaction
 ///   ratio) → prefix tree;
 /// * otherwise → horizontal sparse arrays.
@@ -49,9 +50,20 @@ pub fn choose_repr(n_transactions: usize, n_items: usize, nnz: u64, distinct_rat
     }
 }
 
-/// Density at which a bit matrix beats 32-bit sparse indices (1/32),
-/// nudged up slightly because sparse arrays also compress trailing items.
-pub const DENSE_THRESHOLD: f64 = 0.04;
+/// Density from which Eclat mines the bit matrix at least as fast as
+/// hybrid containers: 1/192, at most 24 bytes of bit matrix per
+/// occurrence.
+///
+/// This is a speed crossover, not the 1/32 memory break-even of a bit
+/// against a 32-bit index, and it moves with the shape. Serial mines of
+/// QUEST DS4 cuts on a 2-vCPU VM, bit matrix speed relative to the
+/// containers (EXPERIMENTS.md, "Served Eclat on the bit matrix"): at
+/// smoke scale 0.35 % dense 0.66×, 0.44 % 0.80–0.86×, 0.47–0.56 %
+/// 0.92–1.12×, 0.6 % 1.04–1.13×, 0.8 % 1.47×, 2.1–3.1 % 3.5–3.9×; at
+/// ci scale, ten times the rows, 0.39 % 1.17×, 0.54 % 1.46×, 1.5 % 3.4×.
+/// The threshold sits above the smoke-scale crossover, so no measured
+/// cut mines slower than on the containers.
+pub const DENSE_THRESHOLD: f64 = 1.0 / 192.0;
 
 // ---------------------------------------------------------------------------
 // Per-chunk container rules — the roaring-style refinement of P2. The

@@ -1,5 +1,7 @@
-//! The container-era Eclat recursion: equivalence-class DFS over
-//! [`VerticalHybridDb`]'s adaptive per-chunk tid-sets (DESIGN.md §16).
+//! The Eclat recursion over hybrid containers: equivalence-class DFS
+//! over [`VerticalHybridDb`]'s adaptive per-chunk tid-sets (DESIGN.md
+//! §16). The spine mines them on cuts sparser than
+//! [`also::adapt::DENSE_THRESHOLD`], where they beat the bit matrix.
 //!
 //! The lattice walk emits exactly what the bit-matrix miner
 //! ([`crate::mine`]) emits — same class order, same minsup filter, same
@@ -7,8 +9,8 @@
 //! representation can change; that is why swapping the storage keeps the
 //! emitted byte sequence identical at every thread count.
 //!
-//! One step differs from the bit matrix's all-pairs walk: a root class
-//! is built from the counts of [`count_root_pairs`], one horizontal pass
+//! One step differs from the paper's all-pairs walk: a root class is
+//! built from the counts of [`count_root_pairs`], one horizontal pass
 //! over the root item's rows (Zaki's frequent 2-itemset count), so only
 //! root pairs that reach minsup are intersected. A root pair that cannot
 //! be frequent costs one counter increment per shared row instead of an
@@ -22,6 +24,7 @@
 //! [`also::containers`]).
 
 use crate::tidlist::SparseStats;
+use crate::{count_root_pairs, RootColumn};
 use also::containers::TidSet;
 use fpm::control::MineControl;
 use fpm::vertical::VerticalHybridDb;
@@ -74,51 +77,14 @@ fn probe_set<P: Probe>(probe: &mut P, set: &TidSet, write: bool) {
     }
 }
 
-/// Counts, in one horizontal pass, how often `r` co-occurs with every
-/// later item: on return `counts[j]` is the support of the root pair
-/// `{r, j}` for every `j > r`, and `counts[..=r]` is untouched.
-///
-/// `rows` are the ranked transactions the columns were built from (each
-/// sorted ascending) and `tids` is `r`'s column, so every visited row
-/// holds `r` and only its tail past `r` is counted. `counts` has one
-/// slot per item and is reused from root to root, which keeps the pass
-/// O(items) in memory rather than the O(items²) of a full triangle. The
-/// pass is charged to `probe`: `r`'s column and each counted row tail
-/// are read, the counter slots past `r` are written.
-// also-lint: hot
-pub fn count_root_pairs<P: Probe>(
-    rows: &[Vec<u32>],
-    tids: &TidSet,
-    r: u32,
-    counts: &mut [u32],
-    probe: &mut P,
-) {
-    let later = &mut counts[r as usize + 1..];
-    if later.is_empty() {
-        return;
+impl RootColumn for TidSet {
+    fn tids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter()
     }
-    later.fill(0);
-    let n_later = later.len() as u64;
-    let (addr, len) = memsim::slice_span(later);
-    probe.write(addr, len);
-    probe_set(probe, tids, false);
-    let mut counted = 0u64;
-    for t in tids.iter() {
-        let row = &rows[t as usize];
-        let tail = &row[row.partition_point(|&x| x <= r)..];
-        if tail.is_empty() {
-            continue;
-        }
-        let (addr, len) = memsim::slice_span(tail);
-        probe.read(addr, len);
-        counted += tail.len() as u64;
-        for &j in tail {
-            counts[j as usize] += 1;
-        }
+
+    fn probe_read<P: Probe>(&self, probe: &mut P) {
+        probe_set(probe, self, false);
     }
-    // A row lookup and tail search per tid, a load and an increment per
-    // counted item, a compare per counter on the minsup scan.
-    probe.instr(tids.cardinality() * 4 + counted * 2 + n_later);
 }
 
 impl<P: Probe, S: PatternSink> HybridMiner<'_, P, S> {

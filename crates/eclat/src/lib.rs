@@ -20,6 +20,14 @@
 //!
 //! [`EclatConfig`] selects the pattern combination; [`variants`] lists
 //! the named columns of the paper's Figure 8(c).
+//!
+//! [`mine`] and [`mine_probed`] are Figure 8(c)'s kernel: the bit matrix
+//! with the paper's all-pairs root walk. The [`spine`], which `fpm-exec`'s
+//! `MinePlan` drives, picks its columns by the cut's density: the same
+//! bit matrix on dense-enough cuts, where a root counts its pairs in one
+//! pass ([`count_root_pairs`]) and skips its walk when no later item
+//! pairs with it at minsup, and hybrid containers below that
+//! ([`tidlist`], DESIGN.md §16).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -28,8 +36,7 @@ pub(crate) mod hybrid;
 pub mod spine;
 pub mod tidlist;
 
-pub use hybrid::count_root_pairs;
-pub use spine::EclatSpine;
+pub use spine::{EclatSpine, SpineStats};
 
 use also::bits::{BitVec, OneRange};
 use also::simd::{and_into_count, Popcount};
@@ -128,10 +135,13 @@ pub fn mine<S: PatternSink>(
 /// [`mine`] with memory-access instrumentation (see [`memsim`]).
 ///
 /// These two serial entry points mine the paper's bit matrix on a path
-/// of their own. This crate's [`spine`], which `fpm-exec`'s `MinePlan`
-/// drives under control (cancellation, deadlines, budgets) and in
-/// parallel, mines the hybrid containers instead (DESIGN.md §16), as
-/// does [`tidlist::mine_probed`] with [`tidlist::SparseRepr::Hybrid`].
+/// of their own, intersecting every root pair. This crate's [`spine`],
+/// which `fpm-exec`'s `MinePlan` drives under control (cancellation,
+/// deadlines, budgets) and in parallel, mines the same bit matrix on
+/// dense-enough cuts but intersects only the root pairs that reach
+/// minsup, and the hybrid containers below that density (DESIGN.md
+/// §16); [`tidlist::mine_probed`] with [`tidlist::SparseRepr::Hybrid`]
+/// always mines the containers. All of them emit the same bytes.
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -153,9 +163,78 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
         control: &MineControl::unlimited(),
         cut: false,
         prefix: Vec::new(),
+        root_pairs: None,
     };
     miner.run(&vdb);
     miner.stats
+}
+
+/// A root item's column as [`count_root_pairs`] reads it: a hybrid
+/// [`TidSet`](also::containers::TidSet) or a bit-matrix column.
+pub trait RootColumn {
+    /// The ids of the rows holding the item, ascending.
+    fn tids(&self) -> impl Iterator<Item = u32> + '_;
+    /// Charges one streamed read of the column's storage to `probe`.
+    fn probe_read<P: Probe>(&self, probe: &mut P);
+}
+
+impl RootColumn for BitVec {
+    fn tids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter_ones().map(|t| t as u32)
+    }
+
+    fn probe_read<P: Probe>(&self, probe: &mut P) {
+        let (addr, len) = memsim::slice_span(self.as_words());
+        probe.read(addr, len);
+    }
+}
+
+/// Counts, in one horizontal pass, how often `r` co-occurs with every
+/// later item: on return `counts[j]` is the support of the root pair
+/// `{r, j}` for every `j > r`, and `counts[..=r]` is untouched.
+///
+/// `rows` are the ranked transactions the columns were built from (each
+/// sorted ascending) and `column` is `r`'s, of either kind, so every
+/// visited row holds `r` and only its tail past `r` is counted. `counts`
+/// has one slot per item and is reused from root to root, which keeps
+/// the pass O(items) in memory rather than the O(items²) of a full
+/// triangle. The pass is charged to `probe`: `r`'s column and each
+/// counted row tail are read, the counter slots past `r` are written.
+// also-lint: hot
+pub fn count_root_pairs<C: RootColumn, P: Probe>(
+    rows: &[Vec<u32>],
+    column: &C,
+    r: u32,
+    counts: &mut [u32],
+    probe: &mut P,
+) {
+    let later = &mut counts[r as usize + 1..];
+    if later.is_empty() {
+        return;
+    }
+    later.fill(0);
+    let n_later = later.len() as u64;
+    let (addr, len) = memsim::slice_span(later);
+    probe.write(addr, len);
+    column.probe_read(probe);
+    let (mut visited, mut counted) = (0u64, 0u64);
+    for t in column.tids() {
+        visited += 1;
+        let row = &rows[t as usize];
+        let tail = &row[row.partition_point(|&x| x <= r)..];
+        if tail.is_empty() {
+            continue;
+        }
+        let (addr, len) = memsim::slice_span(tail);
+        probe.read(addr, len);
+        counted += tail.len() as u64;
+        for &j in tail {
+            counts[j as usize] += 1;
+        }
+    }
+    // A row lookup and tail search per tid, a load and an increment per
+    // counted item, a compare per counter on the minsup scan.
+    probe.instr(visited * 4 + counted * 2 + n_later);
 }
 
 /// A candidate column in the current equivalence class.
@@ -178,6 +257,21 @@ pub(crate) struct Miner<'a, P, S> {
     /// is a strict prefix of the full serial output.
     pub(crate) cut: bool,
     pub(crate) prefix: Vec<u32>,
+    /// The spine's root-pair count; `None` walks every root pair, as
+    /// the paper's kernel does.
+    pub(crate) root_pairs: Option<RootPairs<'a>>,
+}
+
+/// What a spine root task reads to build its class from counted pairs.
+pub(crate) struct RootPairs<'a> {
+    /// The ranked rows the columns were built from.
+    pub(crate) rows: &'a [Vec<u32>],
+    /// Per rank: some later rank pairs with it at minsup
+    /// ([`fpm::frequent_later_pairs`]).
+    pub(crate) walks: &'a [bool],
+    /// One counter per item ([`count_root_pairs`]), reused from root to
+    /// root.
+    pub(crate) counts: Vec<u32>,
 }
 
 /// Models the memory behaviour of the 16-bit-table popcount for the
@@ -226,10 +320,15 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
 
     /// Mines the subtree of itemsets whose first (lowest-rank) item is
     /// `r`: emits `{r}` itself, builds the next equivalence class by
-    /// intersecting `r`'s column with every later root column, and
-    /// recurses. Subtrees for different `r` touch disjoint lattice
-    /// regions and only *read* `vdb`, which is what makes them safe
-    /// parallel tasks.
+    /// intersecting `r`'s column with later root columns, and recurses.
+    /// Subtrees for different `r` touch disjoint lattice regions and only
+    /// *read* `vdb`, which is what makes them safe parallel tasks.
+    ///
+    /// Without `root_pairs` every later column is intersected. With it,
+    /// a root whose flag is clear has an empty class and stops after its
+    /// singleton; any other root counts its pairs in one pass and
+    /// intersects only the later columns whose count reaches minsup. The
+    /// class, and so the emitted bytes, are the same either way.
     pub(crate) fn mine_subtree(&mut self, vdb: &VerticalBitDb, r: u32) {
         if self.control.should_stop() {
             self.cut = true;
@@ -237,8 +336,23 @@ impl<P: Probe, S: PatternSink> Miner<'_, P, S> {
         }
         self.prefix.push(r);
         self.sink.emit(&self.prefix, vdb.support(r));
+        let walk = match &mut self.root_pairs {
+            None => true,
+            Some(pairs) if pairs.walks[r as usize] => {
+                count_root_pairs(pairs.rows, vdb.column(r), r, &mut pairs.counts, self.probe);
+                true
+            }
+            Some(_) => false,
+        };
+        // A root that does not walk keeps no later column.
+        let later = if walk { r + 1 } else { vdb.n_items() as u32 };
         let mut next: Vec<Candidate> = Vec::new();
-        for j in (r + 1)..vdb.n_items() as u32 {
+        for j in later..vdb.n_items() as u32 {
+            if let Some(pairs) = &self.root_pairs {
+                if u64::from(pairs.counts[j as usize]) < self.minsup {
+                    continue;
+                }
+            }
             if let Some(cand) = self.intersect_parts(
                 vdb.column(r),
                 vdb.range(r),

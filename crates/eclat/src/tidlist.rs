@@ -4,19 +4,23 @@
 //! Zaki & Gouda (KDD'03, the paper's reference \[33\]).
 //!
 //! A dense bit matrix spends one bit per (item, transaction) *cell*; a
-//! 32-bit tid-list spends 32 bits per *occurrence*. Below ~1/32 density
-//! the list wins — which is exactly the boundary
-//! [`also::adapt::choose_repr`] encodes, and [`mine_auto`] consumes. The
-//! sparse side it runs is the hybrid miner: each 2^16-tid chunk of every
-//! tid-set picks its own array (16 bits per occurrence), bitmap or run
-//! container by the one rule in [`also::adapt::choose_container`],
-//! applied by [`also::containers::TidSet::optimize`] (DESIGN.md §16).
+//! 32-bit tid-list spends 32 bits per *occurrence*, so below 1/32
+//! density the list takes less memory. Speed crosses over far lower:
+//! the bit matrix's word-wise AND+popcount mines as fast down to about
+//! 1/192, the [`also::adapt::DENSE_THRESHOLD`] below which the served
+//! [`EclatSpine`] switches to the hybrid miner (DESIGN.md §7). Its
+//! columns are tid-sets whose 2^16-tid chunks each pick their own array
+//! (16 bits per occurrence), bitmap or run container by the one rule in
+//! [`also::adapt::choose_container`], applied by
+//! [`also::containers::TidSet::optimize`] (DESIGN.md §16). [`mine`] with
+//! [`SparseRepr::Hybrid`] mines them at any density.
 //!
 //! Diffsets go further for dense data: within a prefix equivalence
 //! class, each member stores only the transactions *lost* relative to
 //! the class prefix (`d(PX) = t(P) − t(PX)`), so deep recursion carries
 //! tiny sets even when tidsets are huge.
 
+use crate::spine::{ColumnKind, EclatPrepared};
 use crate::{EclatConfig, EclatSpine};
 use fpm::control::MineControl;
 use fpm::exec::KernelSpine;
@@ -58,8 +62,8 @@ pub fn mine<S: PatternSink>(
 }
 
 /// [`mine`] with memory instrumentation. The hybrid miner is the
-/// [`EclatSpine`]: prepare the columns without P1, then one
-/// `mine_tasks` call over every root task.
+/// [`EclatSpine`] on hybrid columns, whatever the density: prepare them
+/// without P1, then one `mine_tasks` call over every root task.
 pub fn mine_probed<P: Probe, S: PatternSink>(
     db: &TransactionDb,
     minsup: u64,
@@ -69,10 +73,13 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
 ) -> SparseStats {
     match repr {
         SparseRepr::Hybrid => {
-            let prepared = EclatSpine::prepare(db, minsup, &EclatConfig::baseline(), probe);
+            let cfg = EclatConfig::baseline();
+            let prepared = EclatPrepared::build(db, minsup, &cfg, Some(ColumnKind::Hybrid), probe);
             let tasks = EclatSpine::root_tasks(&prepared);
             let control = MineControl::unlimited();
-            EclatSpine::mine_tasks(&prepared, &tasks, probe, &control, sink).0
+            EclatSpine::mine_tasks(&prepared, &tasks, probe, &control, sink)
+                .0
+                .hybrid
         }
         SparseRepr::Diffsets => {
             // Level 1 members carry tidsets, built in one scan of the
@@ -108,34 +115,6 @@ pub fn mine_probed<P: Probe, S: PatternSink>(
             stats
         }
     }
-}
-
-/// Picks bit matrix vs sparse from the measured density
-/// ([`also::adapt::choose_repr`]) and runs the corresponding miner: the
-/// bit matrix, or the hybrid containers for every sparse pick. Returns
-/// which representation was chosen.
-pub fn mine_auto<S: PatternSink>(
-    db: &TransactionDb,
-    minsup: u64,
-    sink: &mut S,
-) -> also::adapt::Repr {
-    let ranked = remap(db, minsup);
-    let nnz: u64 = ranked.transactions.iter().map(|t| t.len() as u64).sum();
-    let repr = also::adapt::choose_repr(
-        ranked.transactions.len(),
-        ranked.n_ranks(),
-        nnz,
-        1.0, // prefix sharing is the tree miner's business
-    );
-    match repr {
-        also::adapt::Repr::VerticalBits => {
-            crate::mine(db, minsup, &EclatConfig::all(), sink);
-        }
-        _ => {
-            mine(db, minsup, SparseRepr::Hybrid, sink);
-        }
-    }
-    repr
 }
 
 struct Member {
@@ -417,28 +396,6 @@ mod tests {
             "diffsets must carry far less: {} vs {}",
             diff.elements_out,
             tids.elements_out
-        );
-    }
-
-    #[test]
-    fn auto_routes_by_density() {
-        // dense toy → bit matrix
-        assert_eq!(
-            mine_auto(&toy(), 1, &mut CollectSink::default()),
-            also::adapt::Repr::VerticalBits
-        );
-        // very sparse synthetic → hybrid containers, same results as bits
-        let sparse = TransactionDb::from_transactions(
-            (0..500u32).map(|k| vec![k % 97, 97 + k % 89]).collect(),
-        );
-        let mut auto_sink = CollectSink::default();
-        let repr = mine_auto(&sparse, 3, &mut auto_sink);
-        assert_ne!(repr, also::adapt::Repr::VerticalBits);
-        let mut bits_sink = CollectSink::default();
-        crate::mine(&sparse, 3, &EclatConfig::all(), &mut bits_sink);
-        assert_eq!(
-            canonicalize(auto_sink.patterns),
-            canonicalize(bits_sink.patterns)
         );
     }
 

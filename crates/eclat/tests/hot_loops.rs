@@ -1,12 +1,12 @@
 //! Runtime proof of the `// also-lint: hot` contract on the Eclat
 //! AND/popcount kernels (`also::simd`), the hybrid-container chunk
-//! kernels (`also::containers`) and the hybrid miner's root-pair count
+//! kernels (`also::containers`) and the spine's root-pair count
 //! (`eclat::count_root_pairs`): once the lazily built Table16 lookup
 //! table and the CPU-feature detection caches are warm, every strategy's
 //! fused intersect-and-count — plain, 0-escaped, materializing and
 //! galloping — performs zero allocations, and so does the horizontal
 //! pass that counts a root item's pairs into a caller-owned counter
-//! array. Building a hybrid set allocates each array chunk's values
+//! array, reading the root's tids off a hybrid or a bit column. Building a hybrid set allocates each array chunk's values
 //! once: `TidSet::from_sorted` hands them to the container, and an AND
 //! with an array operand intersects into a per-thread scratch buffer and
 //! allocates its result once, at its exact size.
@@ -145,7 +145,7 @@ fn chunk_bitmap_kernels_are_allocation_free() {
 fn root_pair_count_is_allocation_free() {
     // Item 1's column spans three chunks: dense (bitmap), sparse (array)
     // and contiguous (runs after `optimize`), so the pass walks every
-    // container shape.
+    // container shape; the same tids as a bit column walk its words.
     let holds_1 = |t: u32| match t >> 16 {
         0 => !t.is_multiple_of(3),
         1 => t.is_multiple_of(50),
@@ -167,19 +167,26 @@ fn root_pair_count_is_allocation_free() {
     let tids: Vec<u32> = (0..140_000u32).filter(|&t| holds_1(t)).collect();
     let mut column = TidSet::from_sorted(&tids);
     column.optimize();
-    let mut counts = vec![u32::MAX; 8];
-    assert_no_alloc(|| count_root_pairs(&rows, &column, 1, &mut counts, &mut NullProbe));
-    assert_eq!(
-        counts[..2],
-        [u32::MAX; 2],
-        "slots up to the root are untouched"
-    );
-    for j in 2..8u32 {
-        let naive = rows
-            .iter()
-            .filter(|r| r.contains(&1) && r.contains(&j))
-            .count();
-        assert_eq!(counts[j as usize] as usize, naive, "pair {{1, {j}}}");
+    let bits = BitVec::from_indices(140_000, &tids);
+    let mut by_set = vec![u32::MAX; 8];
+    let mut by_bits = vec![u32::MAX; 8];
+    assert_no_alloc(|| {
+        count_root_pairs(&rows, &column, 1, &mut by_set, &mut NullProbe);
+        count_root_pairs(&rows, &bits, 1, &mut by_bits, &mut NullProbe);
+    });
+    for counts in [&by_set, &by_bits] {
+        assert_eq!(
+            counts[..2],
+            [u32::MAX; 2],
+            "slots up to the root are untouched"
+        );
+        for j in 2..8u32 {
+            let naive = rows
+                .iter()
+                .filter(|r| r.contains(&1) && r.contains(&j))
+                .count();
+            assert_eq!(counts[j as usize] as usize, naive, "pair {{1, {j}}}");
+        }
     }
 }
 

@@ -17,7 +17,8 @@ use std::sync::OnceLock;
 /// ranking: the first [`crate::remap()`] or
 /// [`crate::bound::candidate_bound`] counts it, and every later one cuts
 /// it (see [`mod@crate::remap`]). The ranking also keeps the pair
-/// ceilings [`crate::pair_ceilings`] has counted. Equality and `Debug`
+/// ceilings that [`crate::pair_ceilings`] and
+/// [`crate::frequent_later_pairs`] have counted. Equality and `Debug`
 /// ignore the cache; `Clone` copies it.
 #[derive(Clone, Default)]
 pub struct TransactionDb {

@@ -40,7 +40,7 @@ pub mod vertical;
 pub use control::{MineControl, StopCause};
 pub use db::TransactionDb;
 pub use query::{PatternQuery, QueryKey, Rule, RuleSpec};
-pub use remap::{pair_ceilings, remap, remap_lex, RankMap, RankedDb};
+pub use remap::{frequent_later_pairs, pair_ceilings, remap, remap_lex, RankMap, RankedDb};
 pub use sink::{
     replay_merged_prefix, CollectSink, ControlledSink, CountSink, PatternSink, RecordSink,
     StatsSink, TranslateSink,

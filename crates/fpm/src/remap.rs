@@ -19,13 +19,23 @@
 //! row: every remap is a cut of the cached ranking, with the same output
 //! as counting, filtering and sorting afresh.
 //!
-//! The ranking also caches each rank's **pair ceiling** (see
-//! [`pair_ceilings`]): the largest support any more frequent item shares
-//! with it, `max_{j<r} sup({r, j})`. That is the largest count an item
-//! reaches in rank `r`'s FP-Growth root conditional base, and it does
-//! not depend on minsup. Only FP-Growth asks for it. A call computes the
-//! ranks it keeps that no earlier call computed, so later mines at any
-//! minsup extend the cache and never count a rank twice.
+//! The ranking also caches each rank's two **pair ceilings**, counted
+//! in one pass over the pairs of the ranks asked for so far:
+//!
+//! * the earlier ceiling, the largest support a more frequent item
+//!   shares with rank `r`, `max_{j<r} sup({r, j})` ([`pair_ceilings`]).
+//!   That is the largest count an item reaches in rank `r`'s FP-Growth
+//!   root conditional base, and it does not depend on minsup. FP-Growth
+//!   asks for it;
+//! * the later ceiling, the largest support `r` shares with a counted
+//!   less frequent rank, read as one flag per kept rank: whether `r`
+//!   has a later partner at minsup ([`frequent_later_pairs`]), which is
+//!   whether Eclat's root class of `r` is non-empty. Eclat asks for it
+//!   when it mines the bit matrix.
+//!
+//! A call counts the ranks it keeps that no earlier call counted, so
+//! later mines at any minsup extend the cache and never count a rank
+//! twice. LCM, [`remap`] and the bound never ask.
 
 use crate::db::TransactionDb;
 use crate::types::{Item, Tid};
@@ -132,7 +142,29 @@ pub fn remap_lex<P: Probe>(db: &TransactionDb, minsup: u64, lex: bool, probe: &m
 /// buffer is freed before the call returns.
 pub fn pair_ceilings(db: &TransactionDb, minsup: u64) -> Vec<u64> {
     let ranking = db.ranking();
-    ranking.pair_ceilings(db, ranking.frequent(minsup))
+    let m = ranking.frequent(minsup);
+    ranking.ceilings(db, m).earlier[..m].to_vec()
+}
+
+/// One flag per rank that reaches `minsup` (0 counts as 1): whether
+/// some later rank shares at least `minsup` rows with it, that is
+/// whether `max_{j>r} sup({r, j})` reaches `minsup`. Ranks are
+/// [`remap`]'s at every minsup.
+///
+/// In Eclat, rank `r`'s root class holds each later rank `j` with
+/// `sup({r, j}) >= minsup`, so a clear flag says that class is empty.
+///
+/// Counted with [`pair_ceilings`], in the same pass and cache: each
+/// rank's later ceiling is raised by every counted rank past it. The
+/// cache may have counted ranks past the ones `minsup` keeps, but a
+/// rank that shares `minsup` rows with `r` reaches `minsup` itself, so
+/// it is kept and counted, and the flag is exact.
+pub fn frequent_later_pairs(db: &TransactionDb, minsup: u64) -> Vec<bool> {
+    let minsup = minsup.max(1);
+    let ranking = db.ranking();
+    let m = ranking.frequent(minsup);
+    let ceilings = ranking.ceilings(db, m);
+    ceilings.later[..m].iter().map(|&c| c >= minsup).collect()
 }
 
 /// Cuts `db`'s cached ranking at `minsup` and builds each kept row once:
@@ -186,11 +218,21 @@ pub(crate) struct Ranking {
     ceilings: Ceilings,
 }
 
-/// The pair ceilings of ranks `0..len`, a prefix that only grows.
-/// Locked while a call extends it, so concurrent mines of one dataset
-/// count each rank once.
+/// Both pair ceilings of the counted ranks `0..earlier.len()`, a prefix
+/// that only grows.
+#[derive(Clone, Default)]
+struct PairCeilings {
+    /// `max_{j<r} sup({r, j})` per counted rank.
+    earlier: Vec<u64>,
+    /// `max sup({r, j})` over the counted ranks `j > r`; at least as
+    /// long as `earlier`.
+    later: Vec<u64>,
+}
+
+/// The cached [`PairCeilings`]. Locked while a call extends them, so
+/// concurrent mines of one dataset count each rank once.
 #[derive(Default)]
-struct Ceilings(Mutex<Vec<u64>>);
+struct Ceilings(Mutex<PairCeilings>);
 
 impl Clone for Ceilings {
     fn clone(&self) -> Self {
@@ -199,9 +241,11 @@ impl Clone for Ceilings {
 }
 
 impl Ceilings {
-    /// Every push appends one finished rank, so the prefix stays exact
-    /// even if a computation panicked while holding the lock.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
+    /// Every push to `earlier` appends one finished rank, and every
+    /// value `later` holds is a count of some pair's rows, raised by
+    /// `max`; so both stay exact even if a computation panicked while
+    /// holding the lock: the unfinished rank is counted again.
+    fn lock(&self) -> std::sync::MutexGuard<'_, PairCeilings> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -272,15 +316,15 @@ impl Ranking {
             .filter(|row| !row.is_empty())
     }
 
-    /// The pair ceilings of ranks `0..m`, counting the ones not cached
-    /// yet (see [`pair_ceilings`]).
-    fn pair_ceilings(&self, db: &TransactionDb, m: usize) -> Vec<u64> {
+    /// The cached pair ceilings, extended to count ranks `0..m` (see
+    /// [`pair_ceilings`] and [`frequent_later_pairs`]).
+    fn ceilings(&self, db: &TransactionDb, m: usize) -> std::sync::MutexGuard<'_, PairCeilings> {
         let mut ceilings = self.ceilings.lock();
-        if ceilings.len() < m {
+        if ceilings.earlier.len() < m {
             let rows = self.rows.get_or_init(|| self.rank_rows(db));
             rows.extend_ceilings(&self.supports, &mut ceilings, m);
         }
-        ceilings[..m].to_vec()
+        ceilings
     }
 
     /// Lays every row of `db` out in ascending rank by a counting
@@ -334,13 +378,18 @@ impl Ranking {
 }
 
 impl RankedRows {
-    /// Appends the pair ceilings of ranks `ceilings.len()..m`, whose
-    /// column sizes are `supports`: scatters the tids of each new rank's
-    /// rows into its column, then for each new rank `r` counts, per
-    /// item, the prefixes below `r` of its rows, keeping the largest
-    /// count. The counts are stamped with their rank, so none is zeroed.
-    fn extend_ceilings(&self, supports: &[u64], ceilings: &mut Vec<u64>, m: usize) {
-        let first = ceilings.len();
+    /// Counts the pair ceilings of ranks `ceilings.earlier.len()..m`,
+    /// whose column sizes are `supports`: scatters the tids of each new
+    /// rank's rows into its column, then for each new rank `r` counts,
+    /// per item `j`, the prefixes below `r` of its rows. The largest
+    /// count is `r`'s earlier ceiling, and each count `sup({j, r})`
+    /// raises `j`'s later ceiling. The counts are stamped with their
+    /// rank, so none is zeroed.
+    fn extend_ceilings(&self, supports: &[u64], ceilings: &mut PairCeilings, m: usize) {
+        let first = ceilings.earlier.len();
+        if ceilings.later.len() < m {
+            ceilings.later.resize(m, 0);
+        }
         // Column `r - first`'s fill cursor; after the scatter, its end.
         let mut column_end = Vec::with_capacity(m - first);
         let mut n = 0;
@@ -362,6 +411,7 @@ impl RankedRows {
         // `(rank + 1, count)` per item: a count stamped with another
         // rank reads as zero.
         let mut counts = vec![(0usize, 0u64); m];
+        let later = &mut ceilings.later;
         let mut start = 0;
         for (r, &end) in (first..m).zip(&column_end) {
             let mut ceiling = 0;
@@ -375,9 +425,10 @@ impl RankedRows {
                     }
                     *count += 1;
                     ceiling = ceiling.max(*count);
+                    later[j as usize] = later[j as usize].max(*count);
                 }
             }
-            ceilings.push(ceiling);
+            ceilings.earlier.push(ceiling);
             start = end;
         }
     }
@@ -655,20 +706,75 @@ mod tests {
         }
     }
 
+    /// The later-pair flags by definition, off the reference's rows cut
+    /// at `minsup`: whether a kept rank shares at least `minsup` rows
+    /// with a later kept rank.
+    fn brute_later_flags(rows: &[Vec<u32>], m: usize, minsup: u64) -> Vec<bool> {
+        (0..m as u32)
+            .map(|r| {
+                (r + 1..m as u32).any(|j| {
+                    let shared = rows
+                        .iter()
+                        .filter(|t| t.contains(&r) && t.contains(&j))
+                        .count() as u64;
+                    shared >= minsup.max(1)
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn later_pair_flags_match_a_brute_force_count(raw in arb_rows()) {
+            let shift = u32::MAX - 15;
+            let shifted: Vec<Vec<Item>> = raw
+                .iter()
+                .map(|t| t.iter().map(|&i| i + shift).collect())
+                .collect();
+            for raw in [raw, shifted] {
+                let max = reference(&TransactionDb::from_transactions(raw.clone()), 1)
+                    .2
+                    .first()
+                    .copied()
+                    .unwrap_or(0);
+                // Descending minsups count a few ranks and then extend
+                // the cache, so new ranks raise the later ceilings of
+                // ranks counted before them; ascending ones count every
+                // rank first and then read ceilings past the kept ranks.
+                let ascending: Vec<u64> = (0..=max + 1).collect();
+                let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+                for minsups in [ascending, descending] {
+                    let db = TransactionDb::from_transactions(raw.clone());
+                    for s in minsups {
+                        let (rows, ids, ..) = reference(&db, s);
+                        let want = brute_later_flags(&rows, ids.len(), s);
+                        prop_assert_eq!(frequent_later_pairs(&db, s), want, "minsup {}", s);
+                        prop_assert_eq!(parts(remap(&db, s)), reference(&db, s), "minsup {}", s);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn equality_and_clone_ignore_the_ranking() {
         let (fresh, ranked) = (toy(), toy());
         let cloned_fresh = ranked.clone();
         let _ = remap(&ranked, 2);
         let ceilings = pair_ceilings(&ranked, 3);
+        let flags = frequent_later_pairs(&ranked, 3);
         let cloned_ranked = ranked.clone();
         assert_eq!(ranked, fresh);
         assert_eq!(cloned_ranked, cloned_fresh);
         assert_eq!(format!("{ranked:?}"), format!("{fresh:?}"));
-        // c, f and a: {c, f} in 4 rows, {c, a} and {f, a} in 3. Clones,
-        // taken with the ceilings cached or not, read and extend them as
-        // a fresh count would.
+        // c, f and a: {c, f} in 4 rows, {c, a} and {f, a} in 3, so c and
+        // f have a later partner at minsup 3 and a has none. Clones,
+        // taken with the ceilings cached or not, read and extend both
+        // sides as a fresh count would.
         assert_eq!(ceilings, [0, 4, 3]);
+        assert_eq!(flags, [true, true, false]);
         for minsup in 0..=5 {
             let expect = parts(remap(&toy(), minsup));
             assert_eq!(
@@ -692,7 +798,22 @@ mod tests {
                 expect,
                 "minsup={minsup}"
             );
+            let expect = frequent_later_pairs(&toy(), minsup);
+            assert_eq!(
+                frequent_later_pairs(&cloned_ranked, minsup),
+                expect,
+                "minsup={minsup}"
+            );
+            assert_eq!(
+                frequent_later_pairs(&cloned_fresh, minsup),
+                expect,
+                "minsup={minsup}"
+            );
         }
+        // At minsup 2 every item is kept (c f a b d e): d shares 2 rows
+        // with e, while a and b share one row at most with a later item.
+        let flags = frequent_later_pairs(&cloned_fresh, 2);
+        assert_eq!(flags, [true, true, false, false, true, false]);
     }
 
     /// After the first remap of a database, a remap at another minsup

@@ -77,7 +77,8 @@ impl VerticalBitDb {
 /// A vertical database over rank ids with one adaptive hybrid
 /// [`TidSet`] per item: per-2^16-tid chunks choose array, bitmap, or run
 /// containers by local density instead of one global dense-vs-sparse
-/// pick. This is Eclat's container-era working structure.
+/// pick. Eclat's spine mines it on cuts sparser than
+/// `also::adapt::DENSE_THRESHOLD`, and the bit matrix on denser ones.
 #[derive(Debug)]
 pub struct VerticalHybridDb {
     n_transactions: usize,

@@ -8,8 +8,9 @@
 //! diffsets shine, and prefix trees compress massively. The generators
 //! here match those shapes (attribute-value encoding: each transaction
 //! picks one value per attribute), giving the representation-adaptation
-//! machinery (`also::adapt::choose_repr`, `eclat::tidlist::mine_auto`)
-//! realistic dense targets without redistributing UCI data.
+//! machinery (`also::adapt::choose_repr`, which picks the served Eclat
+//! spine's columns) realistic dense targets without redistributing UCI
+//! data.
 
 use fpm::TransactionDb;
 use rand::rngs::StdRng;

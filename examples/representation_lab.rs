@@ -1,12 +1,14 @@
 //! Representation lab: the paper's Feature 1/Feature 2 design space
 //! (§3.3) measured live — dense bit matrix vs diffsets vs hybrid
 //! per-chunk containers across inputs of very different density, plus
-//! what the automatic chooser picks.
+//! what the density chooser picks for the cut, which is the columns the
+//! served Eclat spine mines.
 //!
 //! ```sh
 //! cargo run --release --example representation_lab
 //! ```
 
+use also_fpm::also::adapt::choose_repr;
 use also_fpm::eclat::tidlist::{self, SparseRepr};
 use also_fpm::eclat::{self, EclatConfig};
 use also_fpm::fpm::{CountSink, TransactionDb};
@@ -21,6 +23,8 @@ fn bench(label: &str, db: &TransactionDb, minsup: u64) {
     } else {
         nnz as f64 / (ranked.transactions.len() as f64 * ranked.n_ranks().max(1) as f64)
     };
+    // Prefix sharing is the tree miner's business: Eclat passes 1.0.
+    let chosen = choose_repr(ranked.transactions.len(), ranked.n_ranks(), nnz, 1.0);
     println!(
         "== {label}: {} transactions, {} frequent items, density {density:.4} ==",
         ranked.transactions.len(),
@@ -55,7 +59,6 @@ fn bench(label: &str, db: &TransactionDb, minsup: u64) {
     assert_eq!(s.count, s2.count);
     assert_eq!(s.count, s3.count);
 
-    let chosen = tidlist::mine_auto(db, minsup, &mut CountSink::default());
     println!("   chooser picks: {chosen:?}\n");
 }
 
@@ -85,7 +88,7 @@ fn main() {
     bench("AP-like (sparse)", &ap, 60);
 
     println!("Reading: diffsets move the least data on the dense end; below the");
-    println!("bit-per-cell break-even (~1/32) the chooser flips to hybrid chunks,");
-    println!("which decide per 2^16-tid chunk: u16 arrays where sparse, bitmaps");
-    println!("where dense, runs where clustered (DESIGN.md §16).");
+    println!("bit matrix's speed crossover (1/192 dense) the chooser flips to hybrid");
+    println!("chunks, which decide per 2^16-tid chunk: u16 arrays where sparse,");
+    println!("bitmaps where dense, runs where clustered (DESIGN.md §7, §16).");
 }
